@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -108,7 +106,7 @@ class RunConfig:
     outputs: list = field(default_factory=lambda: ["spectrum"])
 
 
-_PROFILE_KEYS = ("m0", "alpha", "beta", "path", "x_ref", "window")
+_PROFILE_KEYS = ("m0", "alpha", "beta", "path", "x_ref")
 _FAMILY_KEYS = ("tag", "a", "b", "c", "lambda0", "sigma0", "rho0", "l", "ze2")
 
 
@@ -170,7 +168,6 @@ def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
     pcfg = dict(cfg.profile)
     name = pcfg.pop("name", "constant")
     x_ref = pcfg.pop("x_ref", None)
-    window = pcfg.pop("window", None)
     pcfg.setdefault("m0", 0.5)
     if name != "tabulated":
         pcfg.pop("path", None)
@@ -179,7 +176,7 @@ def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
         if name == "tabulated":
             pcfg.pop("m0", None)
     profile = registry_get(name, **pcfg)
-    mumap = MuMap(profile, x_ref=x_ref, window=tuple(window) if window else None)
+    mumap = MuMap(profile, x_ref=x_ref)
     return profile, mumap
 
 
@@ -372,8 +369,8 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
     if not outputs:
         raise ConfigError("sweep needs at least one output kind in 'outputs'")
 
-    def one(index_point):
-        index, values = index_point
+    entries = []
+    for index, values in enumerate(points):
         sub = Path(out_dir) / f"point_{index:04d}"
         entry = {
             "index": index,
@@ -399,13 +396,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
         except SipEffmassError as exc:
             entry["status"] = "error"
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return entry
-
-    workers = os.environ.get("SIP_EFFMASS_WORKERS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    max_workers = min(max_workers, max(len(points), 1))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        entries = list(pool.map(one, enumerate(points)))
+        entries.append(entry)
     _write_json(
         out_dir / "manifest.json",
         "sweep",

@@ -25,6 +25,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NumericalError
 from .families import FamilyModel, ParamTriple
+from .massprofile import _cumulative_gl
 
 __all__ = [
     "WavefunctionTable",
@@ -33,8 +34,6 @@ __all__ = [
     "psi0_closed_table",
     "annihilation_residual",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -52,22 +51,6 @@ class WavefunctionTable:
     def __post_init__(self):
         if not np.all(np.isfinite(self.psi)):
             raise NumericalError("wavefunction samples are not finite")
-
-
-def _cumulative_gl(f, nodes: NDArray) -> NDArray:
-    """Cumulative integral of f along sorted nodes (7-point Gauss per segment)."""
-    a = nodes[:-1]
-    b = nodes[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    # evaluation points: (n_segments, 7)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    seg = half * (vals @ _GL_WEIGHTS)
-    out = np.empty(nodes.size)
-    out[0] = 0.0
-    out[1:] = np.cumsum(seg)
-    return out
 
 
 def _normalize(x: NDArray, raw: NDArray) -> tuple[NDArray, float]:

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, NumericalError
@@ -34,9 +33,11 @@ class MassProfile:
 
     ``mu_closed``, when present, is the closed-form deformation
     coordinate anchored at ``default_ref`` (which may be -inf for
-    profiles whose natural anchor is the left asymptote).
-    ``mu_limits`` are the limits of that closed form at the domain
-    edges, used for inverse-range checks.
+    profiles whose natural anchor is the left asymptote), and
+    ``mu_closed_inverse`` is its inverse.  ``mu_limits`` are the
+    limits of that closed form at the domain edges.  A profile without
+    a closed form gives ``knots`` instead: sorted points spanning the
+    finite domain, between which U is smooth.
     """
 
     name: str
@@ -47,8 +48,10 @@ class MassProfile:
     du: Callable[[NDArray], NDArray]
     d2u: Callable[[NDArray], NDArray]
     mu_closed: Optional[Callable[[NDArray], NDArray]] = None
+    mu_closed_inverse: Optional[Callable[[NDArray], NDArray]] = None
     default_ref: float = 0.0
     mu_limits: Optional[tuple] = None
+    knots: Optional[NDArray] = None
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -84,6 +87,7 @@ def _constant(params: dict) -> MassProfile:
         du=zero,
         d2u=zero,
         mu_closed=lambda x: s * np.asarray(x, dtype=float),
+        mu_closed_inverse=lambda m: np.asarray(m, dtype=float) / s,
         default_ref=0.0,
         mu_limits=(-math.inf, math.inf),
     )
@@ -114,6 +118,7 @@ def _exp_mass(params: dict) -> MassProfile:
         du=du,
         d2u=d2u,
         mu_closed=lambda x: s * np.exp(beta * np.asarray(x, dtype=float)) / beta,
+        mu_closed_inverse=lambda m: np.log(beta * np.asarray(m, dtype=float) / s) / beta,
         default_ref=-math.inf,
         mu_limits=(0.0, math.inf),
     )
@@ -146,6 +151,7 @@ def _asinh_mu(params: dict) -> MassProfile:
         du=du,
         d2u=d2u,
         mu_closed=lambda x: s * np.arcsinh(alpha * np.asarray(x, dtype=float)) / alpha,
+        mu_closed_inverse=lambda m: np.sinh(alpha * np.asarray(m, dtype=float) / s) / alpha,
         default_ref=0.0,
         mu_limits=(-math.inf, math.inf),
     )
@@ -180,6 +186,7 @@ def _arctan_mu(params: dict) -> MassProfile:
         du=du,
         d2u=d2u,
         mu_closed=lambda x: s * np.arctan(alpha * np.asarray(x, dtype=float)) / alpha,
+        mu_closed_inverse=lambda m: np.tan(alpha * np.asarray(m, dtype=float) / s) / alpha,
         default_ref=0.0,
         mu_limits=(-half, half),
     )
@@ -248,9 +255,8 @@ def _tabulated(params: dict) -> MassProfile:
         u=lambda z: np.asarray(interp(np.asarray(z, dtype=float))),
         du=lambda z: np.asarray(dinterp(np.asarray(z, dtype=float))),
         d2u=lambda z: np.asarray(d2interp(np.asarray(z, dtype=float))),
-        mu_closed=None,
         default_ref=float(x[0]),
-        mu_limits=None,
+        knots=x,
     )
 
 
@@ -281,98 +287,94 @@ def registry_get(name: str, **params) -> MassProfile:
     return builder(params)
 
 
-def _quad(f, a, b, tol):
-    if a == b:
-        return 0.0
-    val, err = quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
-    if not math.isfinite(val) or err > max(1e4 * tol, 1e-8) * max(1.0, abs(val)):
-        raise NumericalError(
-            f"quadrature did not converge on [{a}, {b}] (estimate {val}, error {err})"
-        )
-    return val
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+# Knot-grid halvings allowed before a tabulated mu is declared unresolved;
+# 1/U is smooth between knots, so 7-point Gauss converges long before this.
+_MAX_HALVINGS = 10
+_NEWTON_STEPS = 100
+
+
+def _gauss_legendre(f, a: NDArray, b: NDArray) -> NDArray:
+    """Integral of f over each [a_i, b_i] (7-point Gauss, vectorized)."""
+    half = 0.5 * (b - a)
+    pts = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    return half * (vals @ _GL_WEIGHTS)
+
+
+def _cumulative_gl(f, nodes: NDArray) -> NDArray:
+    """Cumulative integral of f along sorted nodes (7-point Gauss per segment)."""
+    out = np.empty(nodes.size)
+    out[0] = 0.0
+    out[1:] = np.cumsum(_gauss_legendre(f, nodes[:-1], nodes[1:]))
+    return out
+
+
+def _resolved_cumulative(inv_u, knots: NDArray) -> tuple[NDArray, NDArray]:
+    """Nodes and cumulative integral of inv_u, halving the knot grid until resolved.
+
+    Resolved means the cumulative values on a grid and on its halving
+    agree to 1e-13 of the total; the finer pair is returned.
+    """
+    nodes = np.asarray(knots, dtype=float)
+    cum = _cumulative_gl(inv_u, nodes)
+    for _ in range(_MAX_HALVINGS):
+        fine = np.empty(2 * nodes.size - 1)
+        fine[::2] = nodes
+        fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        cum_fine = _cumulative_gl(inv_u, fine)
+        if not np.all(np.isfinite(cum_fine)):
+            raise NumericalError("integral of 1/U over the knots is not finite")
+        if np.max(np.abs(cum_fine[::2] - cum)) <= 1e-13 * cum_fine[-1]:
+            return fine, cum_fine
+        nodes, cum = fine, cum_fine
+    raise NumericalError(
+        f"integral of 1/U did not converge after {_MAX_HALVINGS} knot-grid halvings"
+    )
 
 
 class MuMap:
     """The deformation coordinate mu(x) with forward and inverse evaluation.
 
-    Immutable after construction; the anchor cache is built eagerly.
-    mu(x_ref) = 0.  For profiles anchored at -inf (exponential mass)
-    ``x_ref`` defaults to that limit and mu maps onto (0, inf).
+    Immutable after construction.  mu(x_ref) = 0.  For profiles anchored
+    at -inf (exponential mass) ``x_ref`` defaults to that limit and mu
+    maps onto (0, inf).  Profiles with ``mu_closed`` are evaluated and
+    inverted in closed form; knot profiles (``tabulated``) by 7-point
+    Gauss-Legendre on the resolved knot grid, inverted by bracketing on
+    the cumulative values plus safeguarded Newton.
     """
 
-    N_ANCHORS = 257
-
-    def __init__(
-        self,
-        profile: MassProfile,
-        x_ref: Optional[float] = None,
-        tol: float = 1e-12,
-        window: Optional[tuple] = None,
-    ):
+    def __init__(self, profile: MassProfile, x_ref: Optional[float] = None):
         self.profile = profile
-        self.tol = float(tol)
         self.x_ref = profile.default_ref if x_ref is None else float(x_ref)
-
-        def _inv_u(z):
-            # U may overflow to inf deep in an asymptotic tail; 1/inf = 0
-            # is exactly the right integrand value there
-            with np.errstate(over="ignore"):
-                return 1.0 / float(profile.u(z))
-
-        self._inv_u = _inv_u
-
-        if window is not None:
-            lo, hi = float(window[0]), float(window[1])
+        if not (profile.x_lo <= self.x_ref <= profile.x_hi):
+            raise DomainError(f"x_ref={self.x_ref} outside profile domain")
+        if profile.mu_closed is not None and profile.mu_closed_inverse is not None:
+            self._forward, self._backward = profile.mu_closed, profile.mu_closed_inverse
+            lo, hi = profile.mu_limits
+        elif profile.knots is not None:
+            self._nodes, self._cum = _resolved_cumulative(self._inv_u, profile.knots)
+            self._forward, self._backward = self._forward_knots, self._inverse_knots
+            lo, hi = 0.0, float(self._cum[-1])
         else:
-            center = self.x_ref if math.isfinite(self.x_ref) else 0.0
-            lo = max(profile.x_lo, center - 40.0)
-            hi = min(profile.x_hi, center + 40.0)
-        if not lo < hi:
-            raise ConfigError(f"empty sampling window [{lo}, {hi}]")
+            raise ConfigError(
+                f"profile '{profile.name}' has neither a closed-form mu with its inverse nor knots"
+            )
+        with np.errstate(over="ignore"):
+            self._shift = float(self._forward(np.atleast_1d(self.x_ref))[0])
+        if not math.isfinite(self._shift):
+            raise NumericalError(f"mu diverges at x_ref={self.x_ref}")
+        self.mu_lo, self.mu_hi = lo - self._shift, hi - self._shift
 
-        anchors = np.linspace(lo, hi, self.N_ANCHORS)
-        if math.isfinite(self.x_ref):
-            if not (profile.x_lo <= self.x_ref <= profile.x_hi):
-                raise DomainError(f"x_ref={self.x_ref} outside profile domain")
-            if lo <= self.x_ref <= hi:
-                anchors = np.unique(np.concatenate([anchors, [self.x_ref]]))
-            elif self.x_ref < lo:
-                anchors = np.concatenate([[self.x_ref], anchors])
-            else:
-                anchors = np.concatenate([anchors, [self.x_ref]])
+    def _inv_u(self, z: NDArray) -> NDArray:
+        return 1.0 / np.asarray(self.profile.u(z), dtype=float)
 
-        seg = np.zeros(anchors.size)
-        for i in range(1, anchors.size):
-            seg[i] = _quad(self._inv_u, anchors[i - 1], anchors[i], self.tol)
-        vals = np.cumsum(seg)
-
-        if math.isfinite(self.x_ref):
-            iref = int(np.argmin(np.abs(anchors - self.x_ref)))
-            vals = vals - vals[iref]
-        else:
-            # anchored at the left asymptote: offset by the improper tail
-            tail = _quad(self._inv_u, -math.inf, anchors[0], self.tol)
-            vals = vals + tail
-
-        self.cache_x = anchors
-        self.cache_mu = vals
-        self.mu_lo, self.mu_hi = self._range_limits()
-
-    def _range_limits(self) -> tuple:
-        prof = self.profile
-        if prof.mu_limits is not None and prof.mu_closed is not None:
-            if math.isfinite(self.x_ref):
-                shift = float(prof.mu_closed(self.x_ref))
-            else:
-                shift = 0.0
-            return (prof.mu_limits[0] - shift, prof.mu_limits[1] - shift)
-        lo = -math.inf
-        hi = math.inf
-        if math.isfinite(prof.x_lo):
-            lo = self.cache_mu[0] - _quad(self._inv_u, prof.x_lo, self.cache_x[0], self.tol)
-        if math.isfinite(prof.x_hi):
-            hi = self.cache_mu[-1] + _quad(self._inv_u, self.cache_x[-1], prof.x_hi, self.tol)
-        return lo, hi
+    def _forward_knots(self, x: NDArray) -> NDArray:
+        """Unshifted mu on knot profiles: cumulative value at the left node plus one Gauss pass."""
+        x = np.atleast_1d(x)
+        j = np.clip(np.searchsorted(self._nodes, x, side="right") - 1, 0, self._nodes.size - 2)
+        return self._cum[j] + _gauss_legendre(self._inv_u, self._nodes[j], x)
 
     # -- forward ---------------------------------------------------------
 
@@ -381,96 +383,49 @@ class MuMap:
             raise DomainError(f"x outside profile domain [{self.profile.x_lo}, {self.profile.x_hi}]")
 
     def mu(self, x: float) -> float:
-        """Evaluate mu at a single point by quadrature from the nearest anchor."""
-        x = float(x)
-        self._check_domain(x)
-        i = int(np.argmin(np.abs(self.cache_x - x)))
-        return float(self.cache_mu[i] + _quad(self._inv_u, self.cache_x[i], x, self.tol))
+        """Evaluate mu at a single point."""
+        return float(self.mu_array(float(x)))
 
     def mu_array(self, xs) -> NDArray:
-        """Evaluate mu on an array of points, sharing cumulative segments."""
+        """Evaluate mu on an array of points (a 0-d array for a scalar)."""
         xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 0:
-            return np.asarray(self.mu(float(xs)))
         self._check_domain(xs)
-        order = np.argsort(xs, kind="stable")
-        xo = xs[order]
-        i0 = int(np.argmin(np.abs(self.cache_x - xo[0])))
-        nodes = np.concatenate([[self.cache_x[i0]], xo])
-        seg = np.zeros(nodes.size)
-        for i in range(1, nodes.size):
-            seg[i] = _quad(self._inv_u, nodes[i - 1], nodes[i], self.tol)
-        vals = self.cache_mu[i0] + np.cumsum(seg)[1:]
-        out = np.empty_like(vals)
-        out[order] = vals
+        with np.errstate(over="ignore"):
+            out = np.asarray(self._forward(xs) - self._shift).reshape(xs.shape)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("mu is not finite on the requested points")
         return out
 
     # -- inverse ---------------------------------------------------------
 
     def mu_inverse(self, m: float) -> float:
-        """Solve mu(x) = m by anchor-cache bracketing plus safeguarded Newton."""
+        """Solve mu(x) = m: closed form, or bracketing plus safeguarded Newton on knots."""
         m = float(m)
-        if not (self.mu_lo < m < self.mu_hi) and m not in (self.mu_lo, self.mu_hi):
+        if not (self.mu_lo <= m <= self.mu_hi):
             raise DomainError(
                 f"target {m} outside mu range ({self.mu_lo}, {self.mu_hi})"
             )
-        xa, xb, fa, fb = self._bracket(m)
-        if fa == 0.0:
-            return xa
-        if fb == 0.0:
-            return xb
-        x = 0.5 * (xa + xb)
-        f = self.mu(x) - m
-        ftol = max(10.0 * self.tol, 1e-14) * max(1.0, abs(m))
-        for _ in range(100):
-            if abs(f) <= ftol or (xb - xa) <= 1e-15 * max(1.0, abs(x)):
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(self._backward(m + self._shift))
+
+    def _inverse_knots(self, t: float) -> float:
+        nodes, cum = self._nodes, self._cum
+        j = min(max(int(np.searchsorted(cum, t)), 1), cum.size - 1)
+        xa, xb = float(nodes[j - 1]), float(nodes[j])
+        x = xa + (xb - xa) * (t - cum[j - 1]) / (cum[j] - cum[j - 1])
+        ftol = 1e-14 * max(1.0, abs(t))
+        for _ in range(_NEWTON_STEPS):
+            f = float(self._forward_knots(np.asarray(x))[0]) - t
+            if abs(f) <= ftol:
                 return x
             if f > 0:
                 xb = x
             else:
                 xa = x
-            step = f * float(self.profile.u(x))  # Newton: mu' = 1/U
-            xn = x - step
+            xn = x - f * float(self.profile.u(x))  # Newton: mu' = 1/U
             if not (xa < xn < xb):
                 xn = 0.5 * (xa + xb)
+            if xn == x:
+                return x
             x = xn
-            f = self.mu(x) - m
-        raise NumericalError(f"mu_inverse failed to converge for target {m}")
-
-    def _bracket(self, m: float):
-        mu_vals = self.cache_mu
-        if mu_vals[0] <= m <= mu_vals[-1]:
-            j = int(np.searchsorted(mu_vals, m))
-            j = min(max(j, 1), mu_vals.size - 1)
-            return (
-                float(self.cache_x[j - 1]),
-                float(self.cache_x[j]),
-                float(mu_vals[j - 1] - m),
-                float(mu_vals[j] - m),
-            )
-        # expand beyond the cached window toward the domain edge
-        if m < mu_vals[0]:
-            x, f = float(self.cache_x[0]), float(mu_vals[0] - m)
-            step = max(1.0, (self.cache_x[-1] - self.cache_x[0]) / 8.0)
-            for _ in range(200):
-                xn = max(x - step, self.profile.x_lo)
-                fn = self.mu(xn) - m
-                if fn <= 0.0:
-                    return xn, x, fn, f
-                if xn == self.profile.x_lo:
-                    break
-                x, f = xn, fn
-                step *= 2.0
-        else:
-            x, f = float(self.cache_x[-1]), float(mu_vals[-1] - m)
-            step = max(1.0, (self.cache_x[-1] - self.cache_x[0]) / 8.0)
-            for _ in range(200):
-                xn = min(x + step, self.profile.x_hi)
-                fn = self.mu(xn) - m
-                if fn >= 0.0:
-                    return x, xn, f, fn
-                if xn == self.profile.x_hi:
-                    break
-                x, f = xn, fn
-                step *= 2.0
-        raise NumericalError(f"failed to bracket mu target {m}")
+        raise NumericalError(f"mu_inverse failed to converge on [{xa}, {xb}]")

@@ -37,6 +37,9 @@ __all__ = [
     "morse_reduced_compare",
 ]
 
+# Largest grid accepted: 1e6 intervals.  Checked before any node is allocated.
+MAX_GRID_POINTS = 1_000_001
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,6 +60,10 @@ class GridSpec:
             raise ConfigError("grid requires x_lo < x_hi")
         if self.n_points < 64:
             raise ConfigError("grid requires at least 64 points")
+        if self.n_points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid allows at most {MAX_GRID_POINTS} points, got {self.n_points}"
+            )
 
     @property
     def h(self) -> float:

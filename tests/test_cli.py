@@ -141,6 +141,19 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert err["error_type"] == "NumericalError"
 
 
+def test_exit_code_2_on_oversized_grid(tmp_path, capsys):
+    # rejected by GridSpec before any node is allocated
+    args = [
+        "potential", *HO_ARGS, "--x-lo", "0.1", "--x-hi", "4.0",
+        "--n-points", "1000002", "--out", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError"
+    assert err["message"] == "grid allows at most 1000001 points, got 1000002"
+    assert not (tmp_path / "potential.csv").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from sip_effmass import ConfigError, DomainError, MuMap, registry_get
+from sip_effmass import ConfigError, DomainError, MuMap, NumericalError, registry_get
 
 ANALYTIC_PROFILES = [
     ("constant", {"m0": 0.5}),
@@ -103,6 +104,13 @@ def test_mu_inverse_out_of_range():
         mumap.mu_inverse(10.0)
 
 
+def test_non_finite_mu_raises_numerical_error():
+    with pytest.raises(NumericalError):
+        MuMap(registry_get("exp_mass", m0=0.5, beta=1.0)).mu(1000.0)
+    with pytest.raises(NumericalError):
+        MuMap(registry_get("constant", m0=0.5), x_ref=-math.inf)
+
+
 def test_exp_mass_anchor_at_left_asymptote():
     profile = registry_get("exp_mass", m0=0.5, beta=1.0)
     mumap = MuMap(profile)
@@ -144,7 +152,7 @@ def test_tabulated_profile(tmp_path):
     u = np.asarray(profile.u(xs))
     assert np.allclose(u, 1.0 / np.sqrt(2.0 * ms), atol=1e-12)
 
-    mumap = MuMap(profile, window=(-3.0, 3.0))
+    mumap = MuMap(profile)
     m = mumap.mu(2.0)
     assert abs(mumap.mu_inverse(m) - 2.0) < 1e-8
 
@@ -168,6 +176,60 @@ def test_tabulated_rejects_bad_files(tmp_path):
 
 def test_domain_check():
     profile = registry_get("tabulated", data=[[0.0, 1.0], [1.0, 1.1], [2.0, 1.2], [3.0, 1.3]])
-    mumap = MuMap(profile, x_ref=0.0, window=(0.0, 3.0))
+    mumap = MuMap(profile, x_ref=0.0)
     with pytest.raises(DomainError):
         mumap.mu(5.0)
+
+
+# tanh ripple on 61 knots (step 0.1), and a coarse 11-knot table (step 2)
+# on which 7-point Gauss over the raw knots misses mu by 3e-8
+_TANH_X = np.linspace(-3.0, 3.0, 61)
+_COARSE_X = np.arange(0.0, 21.0, 2.0)
+ORACLE_PROFILES = [
+    ("constant", {"m0": 0.5}, 1.5),
+    ("exp_mass", {"m0": 1.0, "beta": 0.4}, 1.5),
+    ("asinh_mu", {"m0": 0.5, "alpha": 0.1}, 1.5),
+    ("arctan_mu", {"m0": 0.5, "alpha": 0.3}, 1.5),
+    ("tabulated", {"data": np.c_[_TANH_X, 0.5 * (1.0 + 0.3 * np.tanh(_TANH_X))]}, 0.7),
+    ("tabulated", {"data": np.c_[_COARSE_X, 1.0 + 0.5 * np.sin(_COARSE_X)]}, 7.3),
+]
+
+
+def _oracle_mu(profile, x_ref, x):
+    """mu(x) - mu(x_ref) by adaptive quadrature, split at the table knots."""
+    if x == x_ref:
+        return 0.0
+    lo, hi = min(x_ref, x), max(x_ref, x)
+    knots = profile.knots
+    points = None
+    if knots is not None:
+        points = list(knots[(knots > lo) & (knots < hi)]) or None
+    with np.errstate(over="ignore"):  # U overflows deep in the exp_mass tail; 1/inf = 0
+        val, _ = quad(
+            lambda z: 1.0 / float(profile.u(z)), x_ref, x,
+            epsabs=1e-15, epsrel=1e-13, limit=1000, points=points,
+        )
+    return val
+
+
+@pytest.mark.parametrize(
+    "name,params,finite_ref", ORACLE_PROFILES,
+    ids=["constant", "exp_mass", "asinh_mu", "arctan_mu", "tabulated", "tabulated_coarse"],
+)
+def test_mu_array_matches_independent_quadrature(name, params, finite_ref):
+    profile = registry_get(name, **params)
+    if profile.knots is not None:
+        lo, hi = profile.x_lo, profile.x_hi
+        xs = np.concatenate([[lo, hi], np.linspace(lo, hi, 23)[1:-1] + 0.013])
+    elif name == "exp_mass":
+        xs = np.array([-30.0, -12.5, -1.0, 0.0, 0.3, 4.0, 18.0, 45.0, 60.0])
+    else:
+        xs = np.array([-120.0, -55.0, -9.5, -1.0, 0.0, 0.3, 4.0, 41.0, 77.0, 120.0])
+    for x_ref in (None, finite_ref):
+        mumap = MuMap(profile, x_ref=x_ref)
+        ref = profile.default_ref if x_ref is None else x_ref
+        mu = mumap.mu_array(xs)
+        for x, m in zip(xs, mu):
+            expect = _oracle_mu(profile, ref, float(x))
+            assert abs(m - expect) <= 1e-12 * max(1.0, abs(expect)), (name, x_ref, x)
+            assert abs(mumap.mu_inverse(m) - x) <= 1e-9 * max(1.0, abs(x)), (name, x_ref, x)
