@@ -387,8 +387,8 @@ class FamilyModel:
         """(V1_eff, V2_eff) at deformation-coordinate points mu.
 
         The effective pair depends on position only through mu, so this
-        avoids the quadrature behind mu(x) when the caller already works
-        in the deformation coordinate.
+        skips the map x -> mu when the caller already works in the
+        deformation coordinate.
         """
         params = self.params0 if params is None else params
         _, weff, uwp_eff = self._mu_core(np.asarray(mu, dtype=float), params)

@@ -292,7 +292,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 # Knot-grid halvings allowed before a tabulated mu is declared unresolved;
 # 1/U is smooth between knots, so 7-point Gauss converges long before this.
 _MAX_HALVINGS = 10
-_NEWTON_STEPS = 100
 
 
 def _gauss_legendre(f, a: NDArray, b: NDArray) -> NDArray:
@@ -414,7 +413,7 @@ class MuMap:
         xa, xb = float(nodes[j - 1]), float(nodes[j])
         x = xa + (xb - xa) * (t - cum[j - 1]) / (cum[j] - cum[j - 1])
         ftol = 1e-14 * max(1.0, abs(t))
-        for _ in range(_NEWTON_STEPS):
+        for _ in range(100):
             f = float(self._forward_knots(np.asarray(x))[0]) - t
             if abs(f) <= ftol:
                 return x
