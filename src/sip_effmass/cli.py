@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SipEffmassError, ValidationError
 from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
-from .groundstate import psi0_generic
+from .groundstate import _annihilation_pointwise, psi0_generic
 from .massprofile import MassProfile, MuMap, registry_get
 from .spectra import (
     CoulombParams,
@@ -280,15 +280,8 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
     model = build_model(cfg, profile, mumap)
     x = build_grid(cfg).nodes()
     table = psi0_generic(model, x)
-    u = np.asarray(profile.u(x), dtype=float)
-    g = np.sqrt(u) * table.psi
-    h = x[1] - x[0]
     resid = np.full(x.size, float("nan"))
-    dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * h)
-    weff = np.asarray(model.effective_superpotential(x[2:-2]))
-    resid[2:-2] = np.abs(np.sqrt(u[2:-2]) * dg + weff * table.psi[2:-2]) / np.max(
-        np.abs(table.psi)
-    )
+    resid[2:-2] = np.abs(_annihilation_pointwise(model, table)) / np.max(np.abs(table.psi))
     rows = ((float(a), float(b), float(c)) for a, b, c in zip(x, table.psi, resid))
     _write_csv(out_dir / "groundstate.csv", "groundstate", ["x", "psi", "residual"], rows)
 

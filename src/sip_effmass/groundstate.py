@@ -182,13 +182,23 @@ def annihilation_residual(
     x, psi = table.x, table.psi
     if x.size < 13:
         raise ConfigError("grid too coarse: need at least 9 interior points")
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0.0):
+    if not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-9, atol=0.0):
         raise ConfigError("annihilation residual requires a uniform grid")
+    resid = _annihilation_pointwise(model, table, params)
+    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+
+
+def _annihilation_pointwise(
+    model: FamilyModel, table: WavefunctionTable, params: Optional[ParamTriple] = None
+) -> NDArray:
+    """sqrt(U) d/dx (sqrt(U) psi) + W_eff psi at x[2:-2] of a uniform grid.
+
+    The derivative is the 4th-order central difference with step x[1] - x[0].
+    """
+    x, psi = table.x, table.psi
+    h = x[1] - x[0]
     u = np.asarray(model.profile.u(x), dtype=float)
     g = np.sqrt(u) * psi
     dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * h)
-    xi = x[2:-2]
-    weff = np.asarray(model.effective_superpotential(xi, params))
-    resid = np.sqrt(u[2:-2]) * dg + weff * psi[2:-2]
-    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+    weff = np.asarray(model.effective_superpotential(x[2:-2], params))
+    return np.sqrt(u[2:-2]) * dg + weff * psi[2:-2]

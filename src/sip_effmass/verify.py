@@ -1,9 +1,10 @@
 """Independent numerical verification of the algebraic predictions.
 
 The Hamiltonian -d/dx U^2 d/dx + V1 is discretized in flux form on a
-uniform Dirichlet grid (exactly symmetric tridiagonal), and its lowest
-eigenvalues are computed in-artifact by Sturm-sequence bisection plus
-inverse iteration, keeping the oracle dependency-free and reproducible.
+uniform Dirichlet grid (exactly symmetric tridiagonal).  Its lowest
+eigenvalues come from LAPACK's bisection routine (stebz, through
+``scipy.linalg.eigh_tridiagonal``); each eigenpair's residual comes
+from seeded inverse iteration, so the report is reproducible.
 
 Because the alternating parameter recursion produces algebraic levels
 that need not correspond to normalizable eigenstates (degenerate pairs
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 
 from .errors import ConfigError, NumericalError
 from .families import FamilyModel
@@ -39,6 +40,10 @@ __all__ = [
 
 # Largest grid accepted: 1e6 intervals.  Checked before any node is allocated.
 MAX_GRID_POINTS = 1_000_001
+# Most eigenvalues one solve returns.
+MAX_LEVELS = 12
+# Absolute width to which stebz brackets each eigenvalue.
+EIG_ABSTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,13 @@ def discretize(
     xm = 0.5 * (x[:-1] + x[1:])
     u2m = np.asarray(profile.u(xm), dtype=float) ** 2
     v = np.asarray(potential(x[1:-1]), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NumericalError("potential is not finite on the grid interior (pole inside grid?)")
     diag = (u2m[:-1] + u2m[1:]) / h**2 + v
     off = -u2m[1:-1] / h**2
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NumericalError(
+            "discretized Hamiltonian is not finite on the grid "
+            "(pole inside grid, or U^2 overflows?)"
+        )
     return diag, off
 
 
@@ -122,56 +130,34 @@ def discretize_model(model: FamilyModel, grid: GridSpec) -> tuple[NDArray, NDArr
     return discretize(model.profile, lambda xs: model.potential_V1(xs), grid)
 
 
-def _sturm_counts(diag: NDArray, off2: NDArray, shifts: NDArray) -> NDArray:
-    """Number of eigenvalues below each shift (vectorized over shifts)."""
-    tiny = np.finfo(float).tiny
-    q = diag[0] - shifts
-    count = (q < 0).astype(np.int64)
-    # a huge off2/q is harmless: it propagates a finite q next iteration
-    with np.errstate(over="ignore", divide="ignore"):
-        for i in range(1, diag.size):
-            q = np.where(np.abs(q) < tiny, tiny, q)
-            q = diag[i] - shifts - off2[i - 1] / q
-            count += q < 0
-    return count
+def _tridiag_matvec(diag: NDArray, off: NDArray, v: NDArray) -> NDArray:
+    """H v for the symmetric tridiagonal H = (diag, off)."""
+    hv = diag * v
+    hv[:-1] += off * v[1:]
+    hv[1:] += off * v[:-1]
+    return hv
 
 
 def lowest_eigenvalues(
-    diag: NDArray,
-    off: NDArray,
-    k: int,
-    grid: Optional[GridSpec] = None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    diag: NDArray, off: NDArray, k: int, grid: Optional[GridSpec] = None
 ) -> GridEigenResult:
-    """Lowest k eigenvalues by Sturm bisection, residuals by inverse iteration."""
-    if not 1 <= k <= 12:
-        raise ConfigError("k must be between 1 and 12")
+    """Lowest k eigenvalues by LAPACK bisection, residuals by inverse iteration."""
+    if not 1 <= k <= MAX_LEVELS:
+        raise ConfigError(f"k must be between 1 and {MAX_LEVELS}")
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     n = diag.size
     if k >= n:
         raise ConfigError("k must be smaller than the matrix dimension")
-    off2 = off * off
+    try:
+        eigs = eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, k - 1), tol=EIG_ABSTOL
+        )
+    except LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolve failed: {exc}") from exc
 
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = np.full(k, float(np.min(diag - radius)))
-    hi = np.full(k, float(np.max(diag + radius)))
-    target = np.arange(1, k + 1)
-
-    it = 0
-    while np.max(hi - lo) > tol:
-        it += 1
-        if it > max_iter:
-            raise NumericalError("bisection failed to converge within the iteration cap")
-        mid = 0.5 * (lo + hi)
-        below = _sturm_counts(diag, off2, mid) >= target
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    eigs = 0.5 * (lo + hi)
-
+    # Residuals from inverse iteration, not from LAPACK's stein vectors: on a
+    # 4001-point particle in a box stein leaves 4e-8, inverse iteration 5e-9.
     scale = float(np.max(np.abs(diag)) + 2.0 * (np.max(np.abs(off)) if off.size else 0.0))
     residuals = np.empty(k)
     rng = np.random.default_rng(0)
@@ -185,10 +171,7 @@ def lowest_eigenvalues(
         for _ in range(3):
             v = solve_banded((1, 1), ab, v)
             v /= np.linalg.norm(v)
-        hv = diag * v
-        hv[:-1] += off * v[1:]
-        hv[1:] += off * v[:-1]
-        residuals[j] = float(np.linalg.norm(hv - eigs[j] * v))
+        residuals[j] = float(np.linalg.norm(_tridiag_matvec(diag, off, v) - eigs[j] * v))
     result_grid = grid if grid is not None else GridSpec(0.0, 1.0, n + 2)
     return GridEigenResult(grid=result_grid, eigenvalues=eigs, residuals=residuals)
 
@@ -196,10 +179,7 @@ def lowest_eigenvalues(
 def rayleigh_quotient(diag: NDArray, off: NDArray, v: NDArray) -> float:
     """(v, H v)/(v, v) for the symmetric tridiagonal operator."""
     v = np.asarray(v, dtype=float)
-    hv = diag * v
-    hv[:-1] += off * v[1:]
-    hv[1:] += off * v[:-1]
-    return float(np.dot(v, hv) / np.dot(v, v))
+    return float(np.dot(v, _tridiag_matvec(diag, off, v)) / np.dot(v, v))
 
 
 def _eigensolve_with_refinement(
@@ -241,7 +221,7 @@ def compare(
     """
     if n_levels < 1:
         raise ConfigError("n_levels must be >= 1")
-    k = min(n_levels + 1, 12)
+    k = min(n_levels + 1, MAX_LEVELS)
     result = _eigensolve_with_refinement(
         model.profile, lambda xs: model.potential_V1(xs), grid, k, tol
     )
@@ -310,7 +290,7 @@ def morse_reduced_compare(
         a=a, lambda0=lambda0, sigma0=-sigma0, profile=profile, mumap=mumap
     )
     n_bound = sum(table.flags["bound"])
-    k = min(max(n_bound, 1), 12)
+    k = min(max(n_bound, 1), MAX_LEVELS)
     result = _eigensolve_with_refinement(
         profile, lambda xs: model.potential_V1(xs), grid, k, tol
     )

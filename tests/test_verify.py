@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import sip_effmass.verify as verify_module
 from sip_effmass import (
     ConfigError,
     FamilyCoeffs,
@@ -79,12 +81,24 @@ def test_second_order_convergence():
     assert 3.5 < ratio < 4.5
 
 
-def test_eigensolver_matches_dense_reference():
-    """Cross-check the bisection result against numpy's dense solver."""
+def _random_tridiagonal():
     rng = np.random.default_rng(7)
     n = 300
-    diag = rng.uniform(1.0, 5.0, n)
-    off = rng.uniform(-1.0, 1.0, n - 1)
+    return rng.uniform(1.0, 5.0, n), rng.uniform(-1.0, 1.0, n - 1)
+
+
+def _double_well():
+    """V = 4 (x^2 - 6)^2: its two lowest pairs are split by about 6e-12 and 7e-12."""
+    return discretize(PROFILE, lambda x: 4.0 * (x * x - 6.0) ** 2, GridSpec(-5.0, 5.0, 302))
+
+
+@pytest.mark.parametrize(
+    "matrix", [_random_tridiagonal, _double_well], ids=["random", "double_well"]
+)
+def test_eigensolver_matches_dense_reference(matrix):
+    """Cross-check the bisection result against numpy's dense solver."""
+    diag, off = matrix()
+    n = diag.size
     dense = np.zeros((n, n))
     dense[np.arange(n), np.arange(n)] = diag
     dense[np.arange(n - 1), np.arange(1, n)] = off
@@ -105,10 +119,27 @@ def test_lowest_eigenvalues_argument_checks():
         lowest_eigenvalues(np.ones(5), np.zeros(4), 5)
 
 
-def test_discretize_rejects_pole_on_interior():
-    grid = GridSpec(-1.0, 1.0, 201)
-    with np.errstate(divide="ignore"), pytest.raises(NumericalError):
-        discretize(PROFILE, lambda x: 1.0 / x, grid)  # x = 0 is a node
+def test_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise LinAlgError("stebz did not converge")
+
+    monkeypatch.setattr(verify_module, "eigh_tridiagonal", fail)
+    with pytest.raises(NumericalError, match="stebz did not converge"):
+        lowest_eigenvalues(np.ones(100), np.zeros(99), 1)
+
+
+@pytest.mark.parametrize(
+    "profile, potential, grid",
+    [
+        (PROFILE, lambda x: 1.0 / x, GridSpec(-1.0, 1.0, 201)),  # x = 0 is a node
+        # exp_mass U^2 overflows near x = -1600 while V stays finite
+        (registry_get("exp_mass", m0=0.5, beta=1.0), np.zeros_like, GridSpec(-1600.0, 0.0, 2001)),
+    ],
+    ids=["pole", "mass_overflow"],
+)
+def test_discretize_rejects_pole_on_interior(profile, potential, grid):
+    with np.errstate(divide="ignore", over="ignore"), pytest.raises(NumericalError):
+        discretize(profile, potential, grid)
 
 
 def test_singular_endpoint_is_allowed():
