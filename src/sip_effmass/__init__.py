@@ -14,7 +14,7 @@ from .errors import (
     SipEffmassError,
     ValidationError,
 )
-from .families import FAMILIES, FamilyCoeffs, FamilyModel, ParamTriple, validate
+from .families import FAMILIES, FamilyCoeffs, FamilyModel, Fields, ParamTriple, validate
 from .groundstate import (
     WavefunctionTable,
     annihilation_residual,
@@ -63,6 +63,7 @@ __all__ = [
     "ParamTriple",
     "FamilyCoeffs",
     "FamilyModel",
+    "Fields",
     "validate",
     "SpectrumTable",
     "CoulombParams",

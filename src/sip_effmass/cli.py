@@ -259,20 +259,13 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
 def run_potential(cfg: RunConfig, out_dir: Path):
     profile, mumap = build_profile(cfg)
     model = build_model(cfg, profile, mumap)
-    x = build_grid(cfg).nodes()
-    mu = mumap.mu_array(x)
-    w = model.superpotential_W(x)
-    v1 = model.potential_V1(x)
-    v2 = model.potential_V2(x)
-    v1e, v2e = model.effective_pair(x)
-    rows = zip(x, mu, w, v1, v2, v1e, v2e)
-    _write_csv(
-        out_dir / "potential.csv",
-        "potential",
-        ["x", "mu", "W", "V1", "V2", "V1eff", "V2eff"],
-        ((float(a), float(b), float(c), float(d), float(e), float(f), float(g))
-         for a, b, c, d, e, f, g in rows),
-    )
+    f = model.fields(build_grid(cfg).nodes())
+    names = ["x", "mu", "W", "V1", "V2", "V1eff", "V2eff"]
+    columns = [f.x, f.mu, f.w, f.v1, f.v2, f.v1_eff, f.v2_eff]
+    bad = [name for name, col in zip(names, columns) if not np.all(np.isfinite(col))]
+    if bad:
+        raise NumericalError(f"potential column(s) {', '.join(bad)} not finite on the grid")
+    _write_csv(out_dir / "potential.csv", "potential", names, zip(*(c.tolist() for c in columns)))
 
 
 def run_groundstate(cfg: RunConfig, out_dir: Path):
@@ -312,10 +305,9 @@ def run_shapecheck(cfg: RunConfig, out_dir: Path):
     profile, mumap = build_profile(cfg)
     model = build_model(cfg, profile, mumap)
     grid = build_grid(cfg)
-    x = grid.interior()
-    residual = model.shape_invariance_residual(x)
-    v1e, v2e = model.effective_pair(x)
-    scale = max(1.0, float(np.max(np.abs(v1e))), float(np.max(np.abs(v2e))))
+    f = model.fields(grid.interior())
+    residual = model.shape_invariance_residual_of_mu(f.mu)
+    scale = max(1.0, float(np.max(np.abs(f.v1_eff))), float(np.max(np.abs(f.v2_eff))))
     payload = {
         "max_residual": residual,
         "normalized_residual": residual / scale,
@@ -452,10 +444,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "sweep":
-            run_sweep(cfg, out_dir)
-        else:
-            _RUNNERS[args.command](cfg, out_dir)
+        # overflow is reported by the finiteness checks as exit 3, so numpy's
+        # warnings would only put text ahead of the JSON error record
+        with np.errstate(all="ignore"):
+            if args.command == "sweep":
+                run_sweep(cfg, out_dir)
+            else:
+                _RUNNERS[args.command](cfg, out_dir)
     except (ConfigError, ValidationError) as exc:
         record = {"error_type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationError):

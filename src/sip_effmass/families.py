@@ -15,6 +15,11 @@ with V_i,eff = V_i + (U'' U / 2 + U'^2 / 4).  All derivatives of W are
 evaluated in closed form through the phi equation, so residual checks
 measure algebra rather than finite differencing.
 
+``FamilyModel.fields(x)`` returns all of these at a point set as one
+:class:`Fields` record: mu is mapped and U, U', U'' are evaluated once.
+``FamilyModel.fields_of_mu(mu)`` gives the columns that depend on
+position only through mu (phi, W_eff, U W_eff' and the effective pair).
+
 With P(phi) = A phi^2 + B phi + C (``FamilyModel.ode_coeffs``) the
 partner difference between two parameter triples is a Laurent
 polynomial in phi,
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,6 +70,7 @@ __all__ = [
     "ParamTriple",
     "FamilyCoeffs",
     "FamilyModel",
+    "Fields",
     "validate",
 ]
 
@@ -156,6 +163,53 @@ def validate(family: str, coeffs: FamilyCoeffs, params0: ParamTriple) -> list[st
         if params0.rho != 0.0:
             violations.append("rho0 == 0")
     return violations
+
+
+@dataclass(frozen=True)
+class Fields:
+    """Field values at one point set, as 1-D arrays.
+
+    :meth:`FamilyModel.fields_of_mu` fills phi, weff (W_eff) and
+    uwp_eff (U W_eff') and leaves the rest None; :meth:`FamilyModel.fields`
+    also fills x, mu, u, du and d2u (U, U', U'').  The potentials are
+    derived from these columns when first read, so a caller pays only
+    for the columns it takes.
+    """
+
+    phi: NDArray
+    weff: NDArray
+    uwp_eff: NDArray
+    x: Optional[NDArray] = None
+    mu: Optional[NDArray] = None
+    u: Optional[NDArray] = None
+    du: Optional[NDArray] = None
+    d2u: Optional[NDArray] = None
+
+    @cached_property
+    def v1_eff(self) -> NDArray:
+        """V1_eff = W_eff^2 - U W_eff'."""
+        return self.weff * self.weff - self.uwp_eff
+
+    @cached_property
+    def v2_eff(self) -> NDArray:
+        """V2_eff = W_eff^2 + U W_eff'."""
+        return self.weff * self.weff + self.uwp_eff
+
+    @cached_property
+    def w(self) -> NDArray:
+        """W = W_eff + U'/2."""
+        return self.weff + 0.5 * self.du
+
+    @cached_property
+    def v1(self) -> NDArray:
+        """V1 = W^2 - (U W)', with (U W)' = U' W + U W_eff' + U U''/2."""
+        w = self.w
+        return w * w - self.du * w - self.uwp_eff - 0.5 * self.u * self.d2u
+
+    @cached_property
+    def v2(self) -> NDArray:
+        """V2 = V1 + 2 U W' - U U'' = V1 + 2 U W_eff'."""
+        return self.v1 + 2.0 * self.uwp_eff
 
 
 @dataclass(frozen=True)
@@ -270,10 +324,6 @@ class FamilyModel:
             return (0.0, -a, b)
         return (a, b, c)
 
-    def _p_of_phi(self, phi):
-        A, B, C = self.ode_coeffs()
-        return (A * phi + B) * phi + C
-
     def phi_from_mu(self, mu):
         """phi as a function of the deformation coordinate."""
         mu = np.asarray(mu, dtype=float)
@@ -299,18 +349,16 @@ class FamilyModel:
             raise DomainError("coulomb phi undefined at mu = 0")
         return -(2.0 + b * mu) / (2.0 * a * mu)
 
-    def phi(self, x):
-        """phi(x) = phi(mu(x))."""
-        scalar = np.ndim(x) == 0
-        mu = self.mumap.mu_array(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = self.phi_from_mu(mu)
-        return float(out[0]) if scalar else out
-
     # -- superpotential and partner potentials -----------------------------
 
-    def _mu_core(self, mu, params: ParamTriple):
-        """(phi, weff, uwp_eff) at deformation-coordinate points mu, where
-        uwp_eff = U W_eff' = (lam - rho/phi^2) P(phi)."""
+    def fields_of_mu(self, mu, params: Optional[ParamTriple] = None) -> Fields:
+        """The mu-side columns at deformation-coordinate points mu.
+
+        The effective pair depends on position only through mu, so a
+        caller that already works in the deformation coordinate skips
+        the map x -> mu and the profile.
+        """
+        params = self.params0 if params is None else params
         phi = np.atleast_1d(self.phi_from_mu(mu))
         lam, sigma, rho = params.lam, params.sigma, params.rho
         if rho != 0.0:
@@ -321,78 +369,29 @@ class FamilyModel:
         else:
             pole = np.zeros_like(phi)
             slope = np.full_like(phi, lam)
-        weff = lam * phi + pole + sigma
-        uwp_eff = slope * self._p_of_phi(phi)
-        return phi, weff, uwp_eff
+        A, B, C = self.ode_coeffs()
+        # U W_eff' = (lam - rho/phi^2) P(phi), since U phi' = P(phi)
+        uwp_eff = slope * ((A * phi + B) * phi + C)
+        return Fields(phi=phi, weff=lam * phi + pole + sigma, uwp_eff=uwp_eff)
 
-    def _eval_core(self, x, params: ParamTriple):
-        """Common sub-expressions at points x for a given parameter triple."""
+    def fields(self, x, params: Optional[ParamTriple] = None) -> Fields:
+        """Every column at points x: mu is mapped and U, U', U'' are
+        evaluated once."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         mu = self.mumap.mu_array(x)
-        phi, weff, uwp_eff = self._mu_core(mu, params)
-        u = np.atleast_1d(np.asarray(self.profile.u(x), dtype=float))
-        du = np.atleast_1d(np.asarray(self.profile.du(x), dtype=float))
-        d2u = np.atleast_1d(np.asarray(self.profile.d2u(x), dtype=float))
-        w = weff + 0.5 * du
-        return phi, u, du, d2u, w, weff, uwp_eff
+        f = self.fields_of_mu(mu, params)
+        return replace(
+            f,
+            x=x,
+            mu=mu,
+            u=np.atleast_1d(np.asarray(self.profile.u(x), dtype=float)),
+            du=np.atleast_1d(np.asarray(self.profile.du(x), dtype=float)),
+            d2u=np.atleast_1d(np.asarray(self.profile.d2u(x), dtype=float)),
+        )
 
-    def superpotential_W(self, x, params: Optional[ParamTriple] = None):
-        params = self.params0 if params is None else params
-        scalar = np.ndim(x) == 0
-        _, _, _, _, w, _, _ = self._eval_core(x, params)
-        return float(w[0]) if scalar else w
-
-    def potential_V1(self, x, params: Optional[ParamTriple] = None):
-        """V1 = W^2 - (U W)' with W' in closed form via the phi equation."""
-        params = self.params0 if params is None else params
-        scalar = np.ndim(x) == 0
-        _, u, du, d2u, w, _, uwp_eff = self._eval_core(x, params)
-        # (U W)' = U' W + U W' and U W' = U W_eff' + U U''/2
-        v1 = w * w - du * w - uwp_eff - 0.5 * u * d2u
-        return float(v1[0]) if scalar else v1
-
-    def potential_V2(self, x, params: Optional[ParamTriple] = None):
-        """V2 = V1 + 2 U W' - U U'' = V1 + 2 U W_eff'."""
-        params = self.params0 if params is None else params
-        scalar = np.ndim(x) == 0
-        _, u, du, d2u, w, _, uwp_eff = self._eval_core(x, params)
-        v1 = w * w - du * w - uwp_eff - 0.5 * u * d2u
-        v2 = v1 + 2.0 * uwp_eff
-        return float(v2[0]) if scalar else v2
-
-    def effective_pair(self, x, params: Optional[ParamTriple] = None):
-        """(V1_eff, V2_eff) = (W_eff^2 -+ U W_eff')."""
-        params = self.params0 if params is None else params
-        scalar = np.ndim(x) == 0
-        _, _, _, _, _, weff, uwp_eff = self._eval_core(x, params)
-        v1e = weff * weff - uwp_eff
-        v2e = weff * weff + uwp_eff
-        if scalar:
-            return float(v1e[0]), float(v2e[0])
-        return v1e, v2e
-
-    def effective_superpotential(self, x, params: Optional[ParamTriple] = None):
-        params = self.params0 if params is None else params
-        scalar = np.ndim(x) == 0
-        _, _, _, _, _, weff, _ = self._eval_core(x, params)
-        return float(weff[0]) if scalar else weff
-
-    def weff_of_mu(self, mu, params: Optional[ParamTriple] = None):
-        """W_eff as a function of mu (used for ground-state integrals)."""
-        params = self.params0 if params is None else params
-        _, weff, _ = self._mu_core(np.asarray(mu, dtype=float), params)
-        return weff
-
-    def effective_pair_of_mu(self, mu, params: Optional[ParamTriple] = None):
-        """(V1_eff, V2_eff) at deformation-coordinate points mu.
-
-        The effective pair depends on position only through mu, so this
-        skips the map x -> mu when the caller already works in the
-        deformation coordinate.
-        """
-        params = self.params0 if params is None else params
-        _, weff, uwp_eff = self._mu_core(np.asarray(mu, dtype=float), params)
-        return weff * weff - uwp_eff, weff * weff + uwp_eff
+    def potential_V1(self, x, params: Optional[ParamTriple] = None) -> NDArray:
+        """V1 at points x, for callers that take V as a callable."""
+        return self.fields(x, params).v1
 
     # -- recursion and remainder -------------------------------------------
 
@@ -487,7 +486,7 @@ class FamilyModel:
     def shape_invariance_residual_of_mu(self, mu_grid) -> float:
         """Same residual, evaluated at deformation-coordinate points."""
         p1 = self.next_params(self.params0)
-        _, v2e0 = self.effective_pair_of_mu(mu_grid)
-        v1e1, _ = self.effective_pair_of_mu(mu_grid, params=p1)
+        v2e0 = self.fields_of_mu(mu_grid).v2_eff
+        v1e1 = self.fields_of_mu(mu_grid, p1).v1_eff
         r = self.remainder_R(self.params0)
-        return float(np.max(np.abs(np.atleast_1d(v2e0 - v1e1 - r))))
+        return float(np.max(np.abs(v2e0 - v1e1 - r)))

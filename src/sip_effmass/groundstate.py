@@ -82,7 +82,7 @@ def psi0_generic(
     if np.any(np.diff(x) <= 0):
         raise ConfigError("grid must be strictly increasing")
     mu = model.mumap.mu_array(x)
-    integral = _cumulative_gl(lambda m: model.weff_of_mu(m, params), mu)
+    integral = _cumulative_gl(lambda m: model.fields_of_mu(m, params).weff, mu)
     u = np.asarray(model.profile.u(x), dtype=float)
     raw = np.exp(-(integral - np.min(integral))) / np.sqrt(u)
     psi, norm = _normalize(x, raw)
@@ -200,5 +200,5 @@ def _annihilation_pointwise(
     u = np.asarray(model.profile.u(x), dtype=float)
     g = np.sqrt(u) * psi
     dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * h)
-    weff = np.asarray(model.effective_superpotential(x[2:-2], params))
+    weff = model.fields(x[2:-2], params).weff
     return np.sqrt(u[2:-2]) * dg + weff * psi[2:-2]

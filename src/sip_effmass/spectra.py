@@ -241,10 +241,9 @@ def coulomb_spectrum_sum(cp: CoulombParams, n_cap: int) -> SpectrumTable:
     )
 
 
-def coulomb_spectrum_nr(
-    cp_or_zl, n_r: int, mode: str = "exact", *, z: Optional[float] = None
-):
-    """Level at radial quantum number n_r after the b-replacement.
+def coulomb_spectrum_nr(l: int, n_r: int, mode: str = "exact", *, z: float = 1.0):
+    """Level at radial quantum number n_r and angular momentum l after
+    the b-replacement, with coupling Z e^2 = z.
 
     The replacement b = Z e^2 / (2 (n_r + l + 1)) + Z e^2 / (2 (l + 1))
     ties the family coefficient to the level index.  ``mode`` selects
@@ -259,12 +258,8 @@ def coulomb_spectrum_nr(
     side equals l + 1 while F(n_r, l) >= l + 1, so the flag is never
     true; it is reported as-is rather than repaired.
     """
-    if isinstance(cp_or_zl, CoulombParams):
-        ze2 = cp_or_zl.ze2
-        l = cp_or_zl.l
-    else:
-        l = int(cp_or_zl)
-        ze2 = 1.0 if z is None else float(z)
+    l = int(l)
+    ze2 = float(z)
     if n_r < 0:
         raise ConfigError("n_r must be >= 0")
     lp1 = l + 1.0

@@ -127,7 +127,7 @@ def discretize(
 
 
 def discretize_model(model: FamilyModel, grid: GridSpec) -> tuple[NDArray, NDArray]:
-    return discretize(model.profile, lambda xs: model.potential_V1(xs), grid)
+    return discretize(model.profile, model.potential_V1, grid)
 
 
 def _tridiag_matvec(diag: NDArray, off: NDArray, v: NDArray) -> NDArray:
@@ -149,6 +149,8 @@ def lowest_eigenvalues(
     n = diag.size
     if k >= n:
         raise ConfigError("k must be smaller than the matrix dimension")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NumericalError("tridiagonal matrix has non-finite entries")
     try:
         eigs = eigh_tridiagonal(
             diag, off, eigvals_only=True, select="i", select_range=(0, k - 1), tol=EIG_ABSTOL
@@ -224,7 +226,7 @@ def compare(
         raise ConfigError("n_levels must be >= 1")
     k = min(n_levels + 1, MAX_LEVELS)
     result = _eigensolve_with_refinement(
-        model.profile, lambda xs: model.potential_V1(xs), grid, k, tol
+        model.profile, model.potential_V1, grid, k, tol
     )
     algebraic = spectrum_sum(model, n_levels).energies
     return _report(result, algebraic, tol, scale_hint=None)
@@ -293,7 +295,7 @@ def morse_reduced_compare(
     n_bound = sum(table.flags["bound"])
     k = min(max(n_bound, 1), MAX_LEVELS)
     result = _eigensolve_with_refinement(
-        profile, lambda xs: model.potential_V1(xs), grid, k, tol
+        profile, model.potential_V1, grid, k, tol
     )
     algebraic = [e for (n, e) in table.levels[:k]]
     report = _report(result, algebraic, tol, scale_hint=1.0)

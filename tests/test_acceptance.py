@@ -164,7 +164,8 @@ def test_criterion_1_shape_invariance_residual(family, profile_name):
         p0, p1 = model.params0, model.next_params()
         assert (p1.lam, p1.sigma, p1.rho) != (-p0.lam, -p0.sigma, -p0.rho)
         mu = _pole_free_mu_grid(model)
-        v1e0, v2e0 = model.effective_pair_of_mu(mu)
+        f = model.fields_of_mu(mu)
+        v1e0, v2e0 = f.v1_eff, f.v2_eff
         scale = max(1.0, float(np.max(np.abs(v1e0))), float(np.max(np.abs(v2e0))))
         resid = model.shape_invariance_residual_of_mu(mu)
         worst = max(worst, resid / scale)
@@ -172,8 +173,8 @@ def test_criterion_1_shape_invariance_residual(family, profile_name):
         # must be shape-invariant too
         chain = model.param_chain(3)
         for pk, pk1 in zip(chain, chain[1:]):
-            _, v2e = model.effective_pair_of_mu(mu, params=pk)
-            v1e, _ = model.effective_pair_of_mu(mu, params=pk1)
+            v2e = model.fields_of_mu(mu, pk).v2_eff
+            v1e = model.fields_of_mu(mu, pk1).v1_eff
             scale = max(1.0, float(np.max(np.abs(v1e))), float(np.max(np.abs(v2e))))
             resid = float(np.max(np.abs(v2e - v1e - model.remainder_R(pk))))
             worst_chain = max(worst_chain, resid / scale)

@@ -1,10 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes, sweeps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sip_effmass.cli import main
+from sip_effmass.massprofile import MuMap
+
+GOLDEN = Path(__file__).parent / "golden"
+ASINH_ARGS = ["--profile", "asinh_mu", "--m0", "0.5", "--alpha", "0.5"]
 
 HO_ARGS = [
     "--family", "ho", "--a", "1", "--lambda0", "1", "--sigma0", "0",
@@ -141,6 +149,40 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert err["error_type"] == "NumericalError"
 
 
+def test_potential_rejects_non_finite_columns(tmp_path, capsys):
+    # exp_mass far in its left tail: U overflows and V1, V2 turn NaN
+    args = [
+        "potential", "--profile", "exp_mass", "--beta", "1",
+        "--family", "morse", "--a=-1", "--b", "1", "--lambda0", "1",
+        "--sigma0", "2.5", "--x-lo=-700", "--x-hi", "0", "--n-points", "201",
+        "--out", str(tmp_path),
+    ]
+    assert main(args) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "NumericalError"
+    assert not (tmp_path / "potential.csv").exists()
+
+
+def test_stderr_is_one_json_document(tmp_path):
+    # numpy overflow warnings must not precede the error record
+    args = [
+        "verify", "--profile", "exp_mass", "--beta", "1",
+        "--family", "morse", "--a=-1", "--b", "0", "--lambda0", "1",
+        "--sigma0", "2.5", "--x-lo=-1600", "--x-hi", "0", "--n-points", "2001",
+        "--n", "2", "--out", str(tmp_path),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sip_effmass.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["error_type"] == "NumericalError"
+
+
 def test_exit_code_2_on_oversized_grid(tmp_path, capsys):
     # rejected by GridSpec before any node is allocated
     args = [
@@ -229,3 +271,41 @@ def test_sweep_determinism(tmp_path):
     for sub in ("point_0000", "point_0001", "point_0002"):
         assert read(outs[0] / sub / "spectrum.csv") == read(outs[1] / sub / "spectrum.csv")
     assert read(outs[0] / "manifest.json") == read(outs[1] / "manifest.json")
+
+
+GOLDEN_ARGS = {
+    "ho_asinh_potential.csv": [
+        "potential", *ASINH_ARGS, "--family", "ho", "--a", "1", "--lambda0", "1",
+        "--x-lo", "0.1", "--x-hi", "5", "--n-points", "501",
+    ],
+    "ho_asinh_shapecheck.json": [
+        "shapecheck", *ASINH_ARGS, "--family", "ho", "--a", "1", "--lambda0", "1",
+        "--x-lo", "0.05", "--x-hi", "6",
+    ],
+    "morse_asinh_groundstate.csv": [
+        "groundstate", *ASINH_ARGS, "--family", "morse", "--a=-1", "--b", "0",
+        "--lambda0", "1", "--sigma0=-2.5", "--x-lo=-15", "--x-hi", "5",
+        "--n-points", "2001",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+def test_field_artifacts_match_goldens(tmp_path, name):
+    assert main([*GOLDEN_ARGS[name], "--out", str(tmp_path)]) == 0
+    artifact = name.split("_")[-1]
+    assert read(tmp_path / artifact) == read(GOLDEN / name)
+
+
+@pytest.mark.parametrize("name", ["ho_asinh_potential.csv", "ho_asinh_shapecheck.json"])
+def test_field_artifacts_map_mu_once(tmp_path, monkeypatch, name):
+    calls = []
+    mu_array = MuMap.mu_array
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return mu_array(self, xs)
+
+    monkeypatch.setattr(MuMap, "mu_array", counted)
+    assert main([*GOLDEN_ARGS[name], "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1

@@ -166,7 +166,7 @@ def test_phi_of_x_uses_mu(asinh_profile, asinh_mumap):
         asinh_mumap,
     )
     x = 1.7
-    assert model.phi(x) == pytest.approx(2.0 * asinh_mumap.mu(x) - 1.0, abs=1e-10)
+    assert model.fields(x).phi == pytest.approx(2.0 * asinh_mumap.mu(x) - 1.0, abs=1e-10)
 
 
 def test_pt_trig_branch_guard(const_profile, const_mumap):
@@ -202,7 +202,7 @@ def test_phi_zero_with_pole_term_raises(const_profile, const_mumap):
         const_mumap,
     )
     with pytest.raises(PoleError):
-        model.superpotential_W(np.array([0.0]))  # phi(0) = 0 while rho != 0
+        model.fields(np.array([0.0]))  # phi(0) = 0 while rho != 0
 
 
 # --------------------------------------------------------------------------
@@ -214,9 +214,10 @@ def test_ho_superpotential_and_v1_constant_mass(const_profile, const_mumap):
     model = make_model(
         "ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, 0.0), const_profile, const_mumap
     )
-    assert model.superpotential_W(2.0) == pytest.approx(2.0, abs=1e-12)
-    assert model.potential_V1(2.0) == pytest.approx(3.0, abs=1e-12)
-    assert model.potential_V2(2.0) == pytest.approx(5.0, abs=1e-12)
+    f = model.fields(2.0)
+    assert f.w == pytest.approx(2.0, abs=1e-12)
+    assert f.v1 == pytest.approx(3.0, abs=1e-12)
+    assert f.v2 == pytest.approx(5.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("family,coeffs,params,span", CASES, ids=[c[0] for c in CASES])
@@ -229,12 +230,13 @@ def test_v1_equals_w2_minus_uw_prime(
     h = 1e-6
     u = np.asarray(asinh_profile.u(x))
     uw_p = (
-        np.asarray(asinh_profile.u(x + h)) * model.superpotential_W(x + h)
-        - np.asarray(asinh_profile.u(x - h)) * model.superpotential_W(x - h)
+        np.asarray(asinh_profile.u(x + h)) * model.fields(x + h).w
+        - np.asarray(asinh_profile.u(x - h)) * model.fields(x - h).w
     ) / (2 * h)
-    w = model.superpotential_W(x)
+    f = model.fields(x)
+    w = f.w
     v1_fd = w * w - uw_p
-    v1 = model.potential_V1(x)
+    v1 = f.v1
     scale = max(1.0, float(np.max(np.abs(v1))))
     assert np.max(np.abs(v1 - v1_fd)) < 1e-5 * scale
 
@@ -245,9 +247,8 @@ def test_partner_differences(family, coeffs, params, span, asinh_profile, asinh_
     V1_eff - V1 = U U''/2 + U'^2/4."""
     model = make_model(family, coeffs, params, asinh_profile, asinh_mumap)
     x = np.linspace(span[0] + 0.05, span[1] - 0.05, 31)
-    v1 = model.potential_V1(x)
-    v2 = model.potential_V2(x)
-    v1e, v2e = model.effective_pair(x)
+    f = model.fields(x)
+    v1, v2, v1e, v2e = f.v1, f.v2, f.v1_eff, f.v2_eff
     u = np.asarray(asinh_profile.u(x))
     du = np.asarray(asinh_profile.du(x))
     d2u = np.asarray(asinh_profile.d2u(x))
@@ -268,11 +269,10 @@ def test_effective_pair_from_weff(const_profile, const_mumap):
     )
     x = np.linspace(0.1, 1.4, 27)
     h = 1e-6
-    weff = model.effective_superpotential(x)
-    dweff = (model.effective_superpotential(x + h) - model.effective_superpotential(x - h)) / (
-        2 * h
-    )
-    v1e, v2e = model.effective_pair(x)
+    f = model.fields(x)
+    weff = f.weff
+    dweff = (model.fields(x + h).weff - model.fields(x - h).weff) / (2 * h)
+    v1e, v2e = f.v1_eff, f.v2_eff
     assert np.max(np.abs(v1e - (weff**2 - dweff))) < 1e-5
     assert np.max(np.abs(v2e - (weff**2 + dweff))) < 1e-5
 
@@ -423,8 +423,8 @@ def test_partner_coeffs_match_effective_pair(
     mu, phi = mu[np.abs(phi) > 1e-2], phi[np.abs(phi) > 1e-2]
     for p1 in (model.next_params(), ParamTriple(-0.7, 1.1, -0.2)):
         c2, c1, c0, cm1, cm2 = model.partner_coeffs(model.params0, p1)
-        _, v2e0 = model.effective_pair_of_mu(mu)
-        v1e1, _ = model.effective_pair_of_mu(mu, params=p1)
+        v2e0 = model.fields_of_mu(mu).v2_eff
+        v1e1 = model.fields_of_mu(mu, p1).v1_eff
         laurent = c2 * phi**2 + c1 * phi + c0 + cm1 / phi + cm2 / phi**2
         scale = max(1.0, float(np.max(np.abs(v2e0))), float(np.max(np.abs(v1e1))))
         assert np.max(np.abs(v2e0 - v1e1 - laurent)) < 1e-12 * scale
@@ -482,8 +482,8 @@ def test_residual_negative_control(asinh_profile, asinh_mumap):
     )
     p1 = ho.next_params()
     bad = ParamTriple(p1.lam + 0.1, p1.sigma, p1.rho)
-    _, v2e0 = ho.effective_pair(grid)
-    v1e_bad, _ = ho.effective_pair(grid, params=bad)
+    v2e0 = ho.fields(grid).v2_eff
+    v1e_bad = ho.fields(grid, bad).v1_eff
     r = ho.remainder_R()
     assert float(np.max(np.abs(v2e0 - v1e_bad - r))) > 1e-3
 
@@ -509,5 +509,5 @@ def test_ho_identity_slice_property(a, lam):
         "ho", FamilyCoeffs(a=a), ParamTriple(lam, 0.0, 0.0), profile, mumap
     )
     grid = np.linspace(0.1, 4.0, 101)
-    scale = max(1.0, float(np.max(np.abs(model.effective_pair(grid)[1]))))
+    scale = max(1.0, float(np.max(np.abs(model.fields(grid).v2_eff))))
     assert model.shape_invariance_residual(grid) < 1e-10 * scale

@@ -256,7 +256,7 @@ def test_coulomb_b_enters_levels():
 
 def test_coulomb_exact_level_reference_value():
     # n_r = 0, l = 0, Z e^2 = 1: E = -1
-    e, _ = coulomb_spectrum_nr(CoulombParams(z=1.0, l=0, b=1.0), 0, mode="exact")
+    e, _ = coulomb_spectrum_nr(0, 0, mode="exact", z=1.0)
     assert e == pytest.approx(-1.0, abs=1e-14)
 
 

@@ -128,6 +128,17 @@ def test_lapack_failure_is_numerical_error(monkeypatch):
         lowest_eigenvalues(np.ones(100), np.zeros(99), 1)
 
 
+@pytest.mark.parametrize("entry", ["diag_nan", "off_inf"])
+def test_non_finite_matrix_is_numerical_error(entry):
+    diag, off = np.ones(100), np.zeros(99)
+    if entry == "diag_nan":
+        diag[50] = np.nan
+    else:
+        off[50] = np.inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        lowest_eigenvalues(diag, off, 1)
+
+
 @pytest.mark.parametrize(
     "profile, potential, grid",
     [
