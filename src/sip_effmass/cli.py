@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, SipEffmassError, ValidationError
 from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
-from .groundstate import _annihilation_pointwise, psi0_generic
+from .groundstate import _annihilation_pointwise, _psi0_generic
 from .massprofile import MassProfile, MuMap, registry_get
 from .spectra import (
     CoulombParams,
@@ -241,18 +241,12 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
             b=float(cfg.family.get("b", 1.0)),
         )
         sums = coulomb_spectrum_sum(cp, 2 * n_max)
-        rows = []
-        for n, e_sum in sums.levels:
-            e_closed = coulomb_closed_level(cp, 2 * n)
-            rows.append((n, e_sum, e_closed, e_closed - e_sum))
+        closed = [coulomb_closed_level(cp, 2 * n) for n, _ in sums.levels]
     else:
         model = build_model(cfg, profile, mumap)
         sums = spectrum_sum(model, n_max)
-        closed = spectrum_closed(model, n_max)
-        rows = [
-            (n, e_sum, e_closed, e_closed - e_sum)
-            for (n, e_sum), (_, e_closed) in zip(sums.levels, closed.levels)
-        ]
+        closed = spectrum_closed(model, n_max).energies
+    rows = [(n, e, c, c - e) for (n, e), c in zip(sums.levels, closed)]
     _write_csv(out_dir / "spectrum.csv", "spectrum", ["n", "E_partial_sum", "E_closed", "diff"], rows)
 
 
@@ -272,9 +266,10 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
     profile, mumap = build_profile(cfg)
     model = build_model(cfg, profile, mumap)
     x = build_grid(cfg).nodes()
-    table = psi0_generic(model, x)
+    table, mu, u = _psi0_generic(model, x)
     resid = np.full(x.size, float("nan"))
-    resid[2:-2] = np.abs(_annihilation_pointwise(model, table)) / np.max(np.abs(table.psi))
+    weff = model.fields_of_mu(mu[2:-2]).weff
+    resid[2:-2] = np.abs(_annihilation_pointwise(table, u, weff)) / np.max(np.abs(table.psi))
     rows = ((float(a), float(b), float(c)) for a, b, c in zip(x, table.psi, resid))
     _write_csv(out_dir / "groundstate.csv", "groundstate", ["x", "psi", "residual"], rows)
 

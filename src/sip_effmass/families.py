@@ -36,8 +36,8 @@ A model carries one of two recursion branches:
   at every step (rho -> -(rho + const)).  Its partner difference is
   constant in x only on narrow slices (sigma0 = rho0 = 0 for ``ho``,
   b = sigma0 = rho0 = 0 for the quadratic families, never for ``morse``
-  or ``coulomb``), and its remainder R is a formal one off them.  The
-  golden spectra and the CLI artifacts are defined on this branch.
+  or ``coulomb``), and its remainder R = c0 + 2 A rho_k is formal off
+  them.  The golden spectra and the CLI artifacts are defined on it.
 * ``"shift"``: lam -> lam + A, rho -> rho - C (rho stays 0 on a chain
   whose params0 has rho = 0) and sigma solves c1 = 0, so
   c2 = c1 = c_2 = 0 at every step.  This is the standard
@@ -412,13 +412,14 @@ class FamilyModel:
             sigma1 = (2.0 * pk.lam * pk.sigma + B * (pk.lam + lam1)) / (2.0 * lam1)
             rho1 = 0.0 if self.params0.rho == 0.0 else pk.rho - C
             return ParamTriple(lam=lam1, sigma=sigma1, rho=rho1)
-        a, b, c = self.coeffs.a, self.coeffs.b, self.coeffs.c
-        if self.family == "ho":
-            return ParamTriple(lam=pk.lam, sigma=pk.sigma, rho=-(pk.rho + a))
-        if self.family == "morse":
-            return ParamTriple(lam=pk.lam, sigma=pk.sigma + a, rho=-(pk.rho + b))
-        # quadratic families share one recursion
+        a, b, c = self._alternating_step()
         return ParamTriple(lam=pk.lam + a, sigma=pk.sigma + b, rho=-(pk.rho + c))
+
+    def _alternating_step(self) -> tuple[float, float, float]:
+        """(a', b', c') of the alternating step (lam + a', sigma + b', -(rho + c')):
+        :meth:`ode_coeffs`, except that ``morse`` moves sigma by a = -B."""
+        A, B, C = self.ode_coeffs()
+        return (A, -B if self.family == "morse" else B, C)
 
     def param_chain(self, n: int) -> list[ParamTriple]:
         """params0 followed by n recursion steps (length n+1)."""
@@ -452,28 +453,16 @@ class FamilyModel:
     def remainder_R(self, pk: Optional[ParamTriple] = None) -> float:
         """The x-independent remainder of the separation identity.
 
-        On the ``"shift"`` branch this is c0 of :meth:`partner_coeffs`,
-        which is the exact remainder wherever the step is shape-invariant.
-
-        On the ``"alternating"`` branch it is the formal remainder
-        R = q - (sigma1^2 - sigma0^2) - 2 (rho1 lam1 - rho0 lam0), with
-        the family-specific source term q; for the quadratic families
-        with rho0 != 0 it differs from c0 of the same step by 2 a rho0.
-        This is the authoritative oracle for the golden level tables; the
-        per-family printed summands are cross-checks against it.
+        This is c0 of :meth:`partner_coeffs`, exact wherever the step is
+        shape-invariant.  The ``"alternating"`` branch adds 2 A rho_k: its
+        formal source term C (lam0 + lam1) - A (rho1 - rho0) exceeds the one
+        in c0 by that much for every family.
         """
         pk = self.params0 if pk is None else pk
-        if self.branch == "shift":
-            return self.partner_coeffs(pk)[2]
-        p1 = self.next_params(pk)
-        a, b, c = self.coeffs.a, self.coeffs.b, self.coeffs.c
-        if self.family == "ho":
-            q = a * (p1.lam + pk.lam)
-        elif self.family == "morse":
-            q = b * (p1.lam + pk.lam)
-        else:
-            q = c * (p1.lam + pk.lam) - a * (p1.rho - pk.rho)
-        return q - (p1.sigma**2 - pk.sigma**2) - 2.0 * (p1.rho * p1.lam - pk.rho * pk.lam)
+        r = self.partner_coeffs(pk)[2]
+        if self.branch == "alternating":
+            r += 2.0 * self.ode_coeffs()[0] * pk.rho
+        return r
 
     # -- residual check ------------------------------------------------------
 

@@ -76,6 +76,11 @@ def psi0_generic(
     model: FamilyModel, grid, params: Optional[ParamTriple] = None
 ) -> WavefunctionTable:
     """Zero mode via the cumulative integral of W_eff over mu."""
+    return _psi0_generic(model, grid, params)[0]
+
+
+def _psi0_generic(model: FamilyModel, grid, params: Optional[ParamTriple] = None):
+    """psi0_generic's table, with the mu and U it evaluated on the grid."""
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 9:
         raise ConfigError("grid must be a 1-D array with at least 9 points")
@@ -86,7 +91,8 @@ def psi0_generic(
     u = np.asarray(model.profile.u(x), dtype=float)
     raw = np.exp(-(integral - np.min(integral))) / np.sqrt(u)
     psi, norm = _normalize(x, raw)
-    return WavefunctionTable(x=x, psi=psi, normalization=norm, method="generic", model=model)
+    table = WavefunctionTable(x=x, psi=psi, normalization=norm, method="generic", model=model)
+    return table, mu, u
 
 
 def psi0_closed(model: FamilyModel, x):
@@ -184,21 +190,20 @@ def annihilation_residual(
         raise ConfigError("grid too coarse: need at least 9 interior points")
     if not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-9, atol=0.0):
         raise ConfigError("annihilation residual requires a uniform grid")
-    resid = _annihilation_pointwise(model, table, params)
+    u = np.asarray(model.profile.u(x), dtype=float)
+    weff = model.fields_of_mu(model.mumap.mu_array(x[2:-2]), params).weff
+    resid = _annihilation_pointwise(table, u, weff)
     return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 
 
-def _annihilation_pointwise(
-    model: FamilyModel, table: WavefunctionTable, params: Optional[ParamTriple] = None
-) -> NDArray:
-    """sqrt(U) d/dx (sqrt(U) psi) + W_eff psi at x[2:-2] of a uniform grid.
+def _annihilation_pointwise(table: WavefunctionTable, u: NDArray, weff: NDArray) -> NDArray:
+    """sqrt(U) d/dx (sqrt(U) psi) + W_eff psi at x[2:-2] of a uniform grid,
+    from U on all of ``table.x`` and W_eff on x[2:-2].
 
     The derivative is the 4th-order central difference with step x[1] - x[0].
     """
     x, psi = table.x, table.psi
     h = x[1] - x[0]
-    u = np.asarray(model.profile.u(x), dtype=float)
     g = np.sqrt(u) * psi
     dg = (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * h)
-    weff = model.fields(x[2:-2], params).weff
     return np.sqrt(u[2:-2]) * dg + weff * psi[2:-2]

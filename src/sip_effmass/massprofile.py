@@ -192,8 +192,8 @@ def _arctan_mu(params: dict) -> MassProfile:
     )
 
 
-def _parse_table(path: str) -> tuple[NDArray, NDArray]:
-    xs, ms = [], []
+def _parse_table(path: str) -> list:
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
         for raw in fh:
@@ -206,39 +206,35 @@ def _parse_table(path: str) -> tuple[NDArray, NDArray]:
                     raise ConfigError(f"tabulated profile header must be 'x,m', got {line!r}")
                 header_seen = True
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"malformed table row: {line!r}")
             try:
-                xs.append(float(parts[0]))
-                ms.append(float(parts[1]))
+                rows.append([float(v) for v in line.split(",")])
             except ValueError as exc:
                 raise ConfigError(f"malformed table row: {line!r}") from exc
     if not header_seen:
         raise ConfigError("tabulated profile file has no 'x,m' header")
-    x = np.asarray(xs, dtype=float)
-    m = np.asarray(ms, dtype=float)
-    if x.size < 4:
-        raise ConfigError("tabulated profile needs at least 4 samples")
-    if np.any(np.diff(x) <= 0):
-        raise ConfigError("tabulated profile x values must be strictly increasing")
-    if np.any(m <= 0):
-        raise ConfigError("tabulated profile mass values must be positive")
-    return x, m
+    return rows
 
 
 def _tabulated(params: dict) -> MassProfile:
     if "data" in params:
-        data = np.asarray(params["data"], dtype=float)
-        x, m = data[:, 0], data[:, 1]
-        if np.any(np.diff(x) <= 0):
-            raise ConfigError("tabulated profile x values must be strictly increasing")
-        if np.any(m <= 0):
-            raise ConfigError("tabulated profile mass values must be positive")
+        rows = params["data"]
     elif "path" in params:
-        x, m = _parse_table(str(params["path"]))
+        rows = _parse_table(str(params["path"]))
     else:
         raise ConfigError("tabulated profile requires 'path' or 'data'")
+    try:
+        data = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tabulated profile data is not a numeric table: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
+        raise ConfigError(f"tabulated profile needs 4 or more rows (x, m), got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("tabulated profile values must be finite")
+    x, m = data[:, 0], data[:, 1]
+    if np.any(np.diff(x) <= 0):
+        raise ConfigError("tabulated profile x values must be strictly increasing")
+    if np.any(m <= 0):
+        raise ConfigError("tabulated profile mass values must be positive")
 
     # Monotone cubic interpolation of U itself keeps U positive and
     # avoids derivative overshoot near steep mass gradients.

@@ -4,11 +4,12 @@ Two independent engines are provided and cross-checked:
 
 * ``spectrum_sum`` accumulates the remainder R over the parameter
   recursion (E_n = sum_{k<n} R(p_k), E_0 = 0).
-* ``spectrum_closed`` evaluates the per-family closed forms obtained by
-  telescoping the same sums.
+* ``spectrum_closed`` evaluates the closed form, one per recursion
+  branch, obtained by telescoping the same sums.
 
-The degenerate-quadratic (Coulomb-like) family keeps its own pair of
-operations because its chain is restricted to even recursion steps.
+On the alternating branch the degenerate-quadratic (Coulomb-like)
+family keeps its own pair of operations: its chain is restricted to
+even recursion steps there.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ __all__ = [
     "coulomb_quantum_map",
 ]
 
+# Most levels one table holds; checked before any chain is built.
+MAX_TABLE_LEVELS = 100_000
+
 
 @dataclass(frozen=True)
 class SpectrumTable:
@@ -51,6 +55,11 @@ class SpectrumTable:
         return [e for _, e in self.levels]
 
 
+def _check_n_max(n_max: int) -> None:
+    if not 0 <= n_max < MAX_TABLE_LEVELS:
+        raise ConfigError(f"n_max must be in 0..{MAX_TABLE_LEVELS - 1}, got {n_max}")
+
+
 def _monotone_flags(energies: list[float]) -> dict:
     flags = {}
     if any(e2 < e1 for e1, e2 in zip(energies, energies[1:])):
@@ -58,65 +67,65 @@ def _monotone_flags(energies: list[float]) -> dict:
     return flags
 
 
+def _model_table(model: FamilyModel, energies: list[float], method: str) -> SpectrumTable:
+    return SpectrumTable(
+        levels=tuple(enumerate(energies)),
+        method=method,
+        family=model.family,
+        coeffs=model.coeffs,
+        params0=model.params0,
+        flags=_monotone_flags(energies),
+        branch=model.branch,
+    )
+
+
 def spectrum_sum(model: FamilyModel, n_max: int) -> SpectrumTable:
     """Partial sums of the remainder over the parameter chain."""
-    if n_max < 0:
-        raise ConfigError("n_max must be >= 0")
+    _check_n_max(n_max)
     chain = model.param_chain(max(n_max - 1, 0))
     energies = [0.0]
     for k in range(n_max):
         energies.append(energies[-1] + model.remainder_R(chain[k]))
-    levels = tuple((n, energies[n]) for n in range(n_max + 1))
-    return SpectrumTable(
-        levels=levels,
-        method="partial_sum",
-        family=model.family,
-        coeffs=model.coeffs,
-        params0=model.params0,
-        flags=_monotone_flags(energies),
-        branch=model.branch,
-    )
+    return _model_table(model, energies, "partial_sum")
 
 
 def _closed_level(model: FamilyModel, n: int) -> float:
-    a, b, c = model.coeffs.a, model.coeffs.b, model.coeffs.c
     lam0, sig0, rho0 = model.params0.lam, model.params0.sigma, model.params0.rho
-    sgn = -1.0 if n % 2 else 1.0
-    if model.family == "ho":
-        return 2.0 * a * lam0 * n + lam0 * (a + 2.0 * rho0) * (1.0 - sgn)
-    if model.family == "morse":
-        return n * (2.0 * b * lam0 - 2.0 * a * sig0 - a * a * n) + lam0 * (
-            2.0 * rho0 + b
-        ) * (1.0 - sgn)
-    if model.family in ("pt_trig", "pt_hyp"):
+    if model.branch == "shift":
+        A, B, C = model.ode_coeffs()
+        lam_n = lam0 + n * A
+        if lam_n == 0.0:
+            raise ValidationError(["shift step needs lambda + A != 0"])
+        # lam_k sigma_k gains B (lam_k + lam_{k+1}) / 2 per step
+        sig_n = (lam0 * sig0 + B * n * (lam0 + 0.5 * A * n)) / lam_n
+        rho_n = rho0 - n * C if rho0 != 0.0 else 0.0
+        # c0 summed over the chain: each of its terms telescopes
         return (
-            (a * rho0 + 2.0 * lam0 * rho0 + c * lam0 + 0.5 * a * c) * (1.0 - sgn)
-            - n * (2.0 * a * rho0 + a * c) * sgn
-            + n * (2.0 * c * lam0 + a * c - 2.0 * b * sig0)
-            + n * n * (a * c - b * b)
+            C * n * (lam0 + lam_n) - A * n * (rho0 + rho_n)
+            + sig0 * sig0 - sig_n * sig_n - 2.0 * (lam_n * rho_n - lam0 * rho0)
         )
-    raise ConfigError(
-        f"family '{model.family}' has no closed form here; use the coulomb operations"
+    if model.family == "coulomb":
+        raise ConfigError("coulomb has no alternating closed form; use the coulomb operations")
+    a, b, c = model._alternating_step()
+    sgn = -1.0 if n % 2 else 1.0
+    return (
+        (a * rho0 + 2.0 * lam0 * rho0 + c * lam0 + 0.5 * a * c) * (1.0 - sgn)
+        - n * (2.0 * a * rho0 + a * c) * sgn
+        + n * (2.0 * c * lam0 + a * c - 2.0 * b * sig0)
+        + n * n * (a * c - b * b)
     )
 
 
 def spectrum_closed(model: FamilyModel, n_max: int) -> SpectrumTable:
-    """Closed-form levels for the ho/morse/pt families (alternating branch)."""
-    if n_max < 0:
-        raise ConfigError("n_max must be >= 0")
-    if model.branch != "alternating":
-        raise ConfigError("closed forms exist for the alternating branch only")
-    energies = [_closed_level(model, n) for n in range(n_max + 1)]
-    levels = tuple((n, energies[n]) for n in range(n_max + 1))
-    return SpectrumTable(
-        levels=levels,
-        method="closed_form",
-        family=model.family,
-        coeffs=model.coeffs,
-        params0=model.params0,
-        flags=_monotone_flags(energies),
-        branch=model.branch,
-    )
+    """Closed-form levels: one telescoped form per recursion branch.
+
+    The alternating form serves every family but ``coulomb`` (whose chain
+    there lives on even steps; see :func:`coulomb_spectrum_sum`).  A shift
+    level whose lam_n vanishes raises ValidationError, as the recursion does.
+    """
+    _check_n_max(n_max)
+    energies = [0.0] + [_closed_level(model, n) for n in range(1, n_max + 1)]
+    return _model_table(model, energies, "closed_form")
 
 
 def pt_reduced_spectrum(
@@ -167,6 +176,7 @@ def morse_reduced_spectrum(a: float, sigma0: float, n_max: int) -> SpectrumTable
         raise ConfigError("reduced linear-family spectrum requires a < 0")
     if not sigma0 > 0.0:
         raise ConfigError("reduced linear-family spectrum requires sigma0 > 0")
+    _check_n_max(n_max)
     energies = [sigma0 * sigma0 - (sigma0 + a * n) ** 2 for n in range(n_max + 1)]
     bound = [n < sigma0 / abs(a) for n in range(n_max + 1)]
     return SpectrumTable(
@@ -228,6 +238,7 @@ def coulomb_spectrum_sum(cp: CoulombParams, n_cap: int) -> SpectrumTable:
     """
     if n_cap < 0 or n_cap % 2 != 0:
         raise ConfigError("chain length N must be an even integer >= 0")
+    _check_n_max(n_cap // 2)
     energies = [0.0]
     acc = 0.0
     for p in range(n_cap // 2):

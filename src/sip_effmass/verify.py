@@ -193,6 +193,8 @@ def _eigensolve_with_refinement(
     tol: float,
 ) -> GridEigenResult:
     """Solve on the grid and Richardson-check the ground level at half resolution."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     diag, off = discretize(profile, potential, grid)
     fine = lowest_eigenvalues(diag, off, k, grid=grid)
     coarse_grid = grid.halved()
@@ -224,11 +226,11 @@ def compare(
     """
     if n_levels < 1:
         raise ConfigError("n_levels must be >= 1")
+    algebraic = spectrum_sum(model, n_levels).energies
     k = min(n_levels + 1, MAX_LEVELS)
     result = _eigensolve_with_refinement(
         model.profile, model.potential_V1, grid, k, tol
     )
-    algebraic = spectrum_sum(model, n_levels).energies
     return _report(result, algebraic, tol, scale_hint=None)
 
 

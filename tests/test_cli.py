@@ -10,6 +10,7 @@ import pytest
 
 from sip_effmass.cli import main
 from sip_effmass.massprofile import MuMap
+from sip_effmass.spectra import MAX_TABLE_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
 ASINH_ARGS = ["--profile", "asinh_mu", "--m0", "0.5", "--alpha", "0.5"]
@@ -134,6 +135,48 @@ def test_exit_code_2_on_bad_config_file(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
     assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+MORSE_REDUCED_ARGS = [
+    "--family", "morse", "--a", "-1", "--b", "0", "--lambda0", "1",
+    "--sigma0", "2.5", "--x-lo", "-15", "--x-hi", "5", "--n-points", "65",
+]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("family_args", [HO_ARGS, MORSE_REDUCED_ARGS], ids=["ho", "morse_b0"])
+def test_exit_code_2_on_bad_tol(tmp_path, capsys, family_args, tol):
+    args = ["verify", *family_args, "--n", "2", f"--tol={tol}", "--out", str(tmp_path)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError" and "tol" in err["message"]
+
+
+def test_level_count_is_capped(tmp_path, capsys):
+    n = str(MAX_TABLE_LEVELS + 1)
+    coulomb = ["--family", "coulomb", "--b", "0.5", "--l", "0", "--ze2", "1"]
+    for args in (
+        ["spectrum", *HO_ARGS, "--n", n],
+        ["spectrum", *coulomb, "--n", n],
+        ["verify", *HO_ARGS, "--n", n],
+        ["verify", *MORSE_REDUCED_ARGS, "--n", n],
+    ):
+        assert main([*args, "--out", str(tmp_path)]) == 2, args
+        err = json.loads(capsys.readouterr().err)
+        assert err["error_type"] == "ConfigError"
+        assert str(MAX_TABLE_LEVELS - 1) in err["message"]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"name": "ho", "a": 1.0, "lambda0": 1.0},
+        "sweep": {"n": [3, MAX_TABLE_LEVELS + 1]},
+        "outputs": ["spectrum"],
+    }))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["ok", "error"]
+    assert points[1]["error"]["type"] == "ConfigError"
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
@@ -297,7 +340,7 @@ def test_field_artifacts_match_goldens(tmp_path, name):
     assert read(tmp_path / artifact) == read(GOLDEN / name)
 
 
-@pytest.mark.parametrize("name", ["ho_asinh_potential.csv", "ho_asinh_shapecheck.json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
 def test_field_artifacts_map_mu_once(tmp_path, monkeypatch, name):
     calls = []
     mu_array = MuMap.mu_array

@@ -173,6 +173,22 @@ def test_tabulated_rejects_bad_files(tmp_path):
     with pytest.raises(ConfigError):
         registry_get("tabulated", path=str(unsorted))
 
+    for value in ("nan", "inf"):
+        non_finite = tmp_path / f"bad_{value}.csv"
+        non_finite.write_text(f"x,m\n0,1\n1,{value}\n2,1\n3,1\n")
+        with pytest.raises(ConfigError):
+            registry_get("tabulated", path=str(non_finite))
+
+    for data in (
+        [[0.0, 1.0], [1.0, 1.1], [2.0, 1.2]],  # a file needs 4 rows too
+        [0.0, 1.0, 2.0, 3.0],
+        [[0.0, 1.0, 5.0], [1.0, 1.1, 5.0], [2.0, 1.2, 5.0], [3.0, 1.3, 5.0]],
+        [[0.0, 1.0], [1.0, float("nan")], [2.0, 1.2], [3.0, 1.3]],
+        [[0.0, 1.0], [1.0], [2.0, 1.2], [3.0, 1.3]],
+    ):
+        with pytest.raises(ConfigError):
+            registry_get("tabulated", data=data)
+
 
 def test_domain_check():
     profile = registry_get("tabulated", data=[[0.0, 1.0], [1.0, 1.1], [2.0, 1.2], [3.0, 1.3]])

@@ -15,6 +15,7 @@ from sip_effmass import (
     FamilyModel,
     MuMap,
     ParamTriple,
+    ValidationError,
     coulomb_closed_level,
     coulomb_quantum_map,
     coulomb_spectrum_nr,
@@ -69,17 +70,55 @@ def test_spectrum_closed_refuses_coulomb():
         spectrum_closed(m, 3)
 
 
-def test_spectrum_closed_refuses_shift_branch():
-    m = FamilyModel(
-        family="ho",
-        coeffs=FamilyCoeffs(a=1.0),
-        params0=ParamTriple(1.0, 0.0, 0.0),
-        profile=PROFILE,
-        mumap=MUMAP,
-        branch="shift",
-    )
-    with pytest.raises(ConfigError):
-        spectrum_closed(m, 3)
+@pytest.mark.parametrize("rho_zero", [True, False], ids=["rho0=0", "rho0!=0"])
+@pytest.mark.parametrize("family", ["ho", "morse", "pt_trig", "pt_hyp"])
+def test_shift_closed_equals_sum(family, rho_zero):
+    """200 seeded draws per family and slice; lam0 has the sign of a, so
+    no chain reaches lam_n = 0."""
+    rng = np.random.default_rng(20071)
+    for _ in range(200):
+        a = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+        if family == "morse":
+            a = -abs(a)
+        b = rng.uniform(-2.0, 2.0)
+        c = 0.0
+        if family in ("pt_trig", "pt_hyp"):
+            spread = 4.0 * rng.uniform(0.1, 3.0)
+            c = (b * b + (spread if family == "pt_trig" else -spread)) / (4.0 * a)
+        rho0 = 0.0 if rho_zero else rng.uniform(-2.0, 2.0)
+        lam0 = math.copysign(rng.uniform(0.2, 4.0), a)
+        params = ParamTriple(lam0, rng.uniform(-2.0, 2.0), rho0)
+        m = model(family, FamilyCoeffs(a=a, b=b, c=c), params, branch="shift")
+        n = int(rng.integers(0, 21))
+        closed, summed = spectrum_closed(m, n), spectrum_sum(m, n)
+        assert closed.branch == "shift"
+        assert rel_close(closed.energies, summed.energies, 1e-12)
+
+
+def test_shift_coulomb_gives_hydrogen_gaps():
+    """Z^2 e^4 / 4 (1/(l+1)^2 - 1/(n+l+1)^2) for any b: no even-step restriction."""
+    ze2 = 1.7
+    for b in (0.3, 1.0, -2.0):
+        for l in (0, 2):
+            m = FamilyModel.coulomb(
+                a=1.0, b=b, l=l, ze2=ze2, profile=PROFILE, mumap=MUMAP, branch="shift"
+            )
+            hydrogen = [
+                ze2**2 / 4.0 * (1.0 / (l + 1) ** 2 - 1.0 / (n + l + 1) ** 2) for n in range(7)
+            ]
+            assert rel_close(spectrum_closed(m, 6).energies, hydrogen, 1e-12)
+            assert rel_close(spectrum_sum(m, 6).energies, hydrogen, 1e-12)
+
+
+def test_shift_chain_through_lambda_zero_raises():
+    # lam_k = 2 - k vanishes at k = 2
+    coeffs = FamilyCoeffs(a=-1.0, b=0.0, c=-1.0)
+    m = model("pt_trig", coeffs, ParamTriple(2.0, 0.5, 0.0), branch="shift")
+    assert spectrum_closed(m, 1).energies == pytest.approx(spectrum_sum(m, 1).energies)
+    with pytest.raises(ValidationError):
+        spectrum_sum(m, 2)
+    with pytest.raises(ValidationError):
+        spectrum_closed(m, 2)
 
 
 def test_spectrum_tables_record_branch():
