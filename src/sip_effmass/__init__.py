@@ -24,7 +24,6 @@ from .groundstate import (
 )
 from .massprofile import REGISTRY_NAMES, MassProfile, MuMap, registry_get
 from .spectra import (
-    CoulombParams,
     SpectrumTable,
     coulomb_closed_level,
     coulomb_quantum_map,
@@ -66,7 +65,6 @@ __all__ = [
     "Fields",
     "validate",
     "SpectrumTable",
-    "CoulombParams",
     "spectrum_sum",
     "spectrum_closed",
     "pt_reduced_spectrum",

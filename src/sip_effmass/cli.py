@@ -22,13 +22,7 @@ from .errors import ConfigError, NumericalError, SipEffmassError, ValidationErro
 from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 from .groundstate import _annihilation_pointwise, _psi0_generic
 from .massprofile import MassProfile, MuMap, registry_get
-from .spectra import (
-    CoulombParams,
-    coulomb_closed_level,
-    coulomb_spectrum_sum,
-    spectrum_closed,
-    spectrum_sum,
-)
+from .spectra import coulomb_closed_level, coulomb_spectrum_sum, spectrum_closed, spectrum_sum
 from .verify import GridSpec, compare, morse_reduced_compare
 
 HEADER_COMMENT = "# units: hbar = 1, e2 = 1"
@@ -110,11 +104,6 @@ _PROFILE_KEYS = ("m0", "alpha", "beta", "path", "x_ref")
 _FAMILY_KEYS = ("tag", "a", "b", "c", "lambda0", "sigma0", "rho0", "l", "ze2")
 
 
-def _family_tag(fcfg: dict) -> str:
-    """Family tag from a config section; 'tag' and 'name' are synonyms."""
-    return canonical_family(str(fcfg.get("tag", fcfg.get("name", ""))))
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if getattr(args, "config", None):
@@ -169,12 +158,6 @@ def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
     name = pcfg.pop("name", "constant")
     x_ref = pcfg.pop("x_ref", None)
     pcfg.setdefault("m0", 0.5)
-    if name != "tabulated":
-        pcfg.pop("path", None)
-    if name in ("constant", "tabulated"):
-        pcfg = {k: v for k, v in pcfg.items() if k in ("m0", "path", "data")}
-        if name == "tabulated":
-            pcfg.pop("m0", None)
     profile = registry_get(name, **pcfg)
     mumap = MuMap(profile, x_ref=x_ref)
     return profile, mumap
@@ -182,9 +165,9 @@ def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
 
 def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyModel:
     fcfg = cfg.family
-    tag = _family_tag(fcfg)
+    # 'tag' and 'name' are synonyms
+    tag = canonical_family(str(fcfg.get("tag", fcfg.get("name", ""))))
     a = float(fcfg.get("a", 1.0))
-    b = float(fcfg.get("b", 0.0))
     if tag == "coulomb":
         return FamilyModel.coulomb(
             a=a,
@@ -199,17 +182,7 @@ def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyMod
         sigma=float(fcfg.get("sigma0", 0.0)),
         rho=float(fcfg.get("rho0", 0.0)),
     )
-    coeffs = FamilyCoeffs(a=a, b=b, c=float(fcfg.get("c", 0.0)))
-    if tag == "morse" and b == 0.0:
-        # the reduced (single-exponential) slice is accepted as a formal limit
-        return FamilyModel(
-            family=tag,
-            coeffs=coeffs,
-            params0=params0,
-            profile=profile,
-            mumap=mumap,
-            formal_limit=True,
-        )
+    coeffs = FamilyCoeffs(a=a, b=float(fcfg.get("b", 0.0)), c=float(fcfg.get("c", 0.0)))
     return FamilyModel(
         family=tag, coeffs=coeffs, params0=params0, profile=profile, mumap=mumap
     )
@@ -233,17 +206,11 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
     if cfg.n < 1:
         raise ConfigError("need at least one level (--n >= 1)")
     n_max = cfg.n - 1
-    tag = _family_tag(cfg.family)
-    if tag == "coulomb":
-        cp = CoulombParams(
-            z=float(cfg.family.get("ze2", 1.0)),
-            l=int(cfg.family.get("l", 0)),
-            b=float(cfg.family.get("b", 1.0)),
-        )
-        sums = coulomb_spectrum_sum(cp, 2 * n_max)
-        closed = [coulomb_closed_level(cp, 2 * n) for n, _ in sums.levels]
+    model = build_model(cfg, profile, mumap)
+    if model.family == "coulomb":
+        sums = coulomb_spectrum_sum(model, 2 * n_max)
+        closed = [0.0] + [coulomb_closed_level(model, 2 * n) for n in range(1, n_max + 1)]
     else:
-        model = build_model(cfg, profile, mumap)
         sums = spectrum_sum(model, n_max)
         closed = spectrum_closed(model, n_max).energies
     rows = [(n, e, c, c - e) for (n, e), c in zip(sums.levels, closed)]
@@ -277,21 +244,19 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
 def run_verify(cfg: RunConfig, out_dir: Path):
     profile, mumap = build_profile(cfg)
     grid = build_grid(cfg)
-    tag = _family_tag(cfg.family)
-    if tag == "morse" and float(cfg.family.get("b", 0.0)) == 0.0:
-        sigma0 = float(cfg.family.get("sigma0", 0.0))
+    model = build_model(cfg, profile, mumap)
+    if model.family == "morse" and model.coeffs.b == 0.0:
         report = morse_reduced_compare(
-            a=float(cfg.family.get("a", -1.0)),
-            sigma0=abs(sigma0),
+            a=model.coeffs.a,
+            sigma0=abs(model.params0.sigma),
             profile=profile,
             mumap=mumap,
             grid=grid,
             n_levels=cfg.n,
-            lambda0=float(cfg.family.get("lambda0", 1.0)),
+            lambda0=model.params0.lam,
             tol=cfg.tol,
         )
     else:
-        model = build_model(cfg, profile, mumap)
         report = compare(model, grid, cfg.n, tol=cfg.tol)
     _write_json(out_dir / "verify.json", "verify", report)
 

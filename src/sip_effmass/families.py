@@ -143,7 +143,8 @@ def validate(family: str, coeffs: FamilyCoeffs, params0: ParamTriple) -> list[st
     elif family == "morse":
         if not a < 0.0:
             violations.append("a < 0")
-        if 2.0 * b * params0.lam == 0.0:
+        # b = 0 is the reduced single-exponential slice, where q vanishes
+        if b != 0.0 and 2.0 * b * params0.lam == 0.0:
             violations.append("q = 2*b*lambda0 != 0")
     elif family == "pt_trig":
         if not coeffs.discriminant > 0.0:
@@ -218,8 +219,12 @@ class FamilyModel:
 
     Immutable; all evaluation methods are pure.  For the Coulomb family
     use :meth:`coulomb`, which derives (lam0, sigma0) from the angular
-    momentum l and the coupling Z e^2; they cannot be set independently.
-    ``branch`` selects the parameter recursion (see the module docstring).
+    momentum l and the coupling Z e^2; they cannot be set independently,
+    and the coulomb operations of :mod:`sip_effmass.spectra` read b, l and
+    Z e^2 from the model.  The linear family with b = 0 is the reduced
+    single-exponential well (:meth:`morse_reduced`); q = 2 b lambda0 is
+    required to be nonzero only off that slice.  ``branch`` selects the
+    parameter recursion (see the module docstring).
     """
 
     family: str
@@ -229,7 +234,6 @@ class FamilyModel:
     mumap: MuMap
     l: Optional[int] = None
     ze2: Optional[float] = None
-    formal_limit: bool = False
     branch: str = "alternating"
 
     def __post_init__(self):
@@ -237,11 +241,6 @@ class FamilyModel:
         if self.branch not in _BRANCHES:
             raise ValidationError([f"unknown branch '{self.branch}'"])
         violations = validate(self.family, self.coeffs, self.params0)
-        if self.formal_limit:
-            # Reduced slices (e.g. the linear family with b = 0) are
-            # well-defined potentials even though the separation source
-            # term q vanishes; only that constraint is waived.
-            violations = [v for v in violations if not v.startswith("q =")]
         if violations:
             raise ValidationError(violations)
 
@@ -254,21 +253,18 @@ class FamilyModel:
         profile: MassProfile,
         mumap: MuMap,
     ) -> "FamilyModel":
-        """Linear family on the rho0 = b = 0 slice (formal q -> 0 limit).
+        """Linear family on the rho0 = b = 0 slice (q = 2 b lambda0 vanishes).
 
         This is the single-exponential well whose spectrum is
         sigma0^2 - (sigma0 + a n)^2; for a < 0 its zero mode is
         normalizable when sigma0 < 0.
         """
-        if not a < 0.0:
-            raise ValidationError(["a < 0"])
         return cls(
             family="morse",
             coeffs=FamilyCoeffs(a=a, b=0.0, c=0.0),
             params0=ParamTriple(lam=lambda0, sigma=sigma0, rho=0.0),
             profile=profile,
             mumap=mumap,
-            formal_limit=True,
         )
 
     @classmethod
@@ -450,16 +446,19 @@ class FamilyModel:
             (r0 + r1) * (r0 - r1 - C),
         )
 
-    def remainder_R(self, pk: Optional[ParamTriple] = None) -> float:
+    def remainder_R(
+        self, pk: Optional[ParamTriple] = None, p1: Optional[ParamTriple] = None
+    ) -> float:
         """The x-independent remainder of the separation identity.
 
         This is c0 of :meth:`partner_coeffs`, exact wherever the step is
-        shape-invariant.  The ``"alternating"`` branch adds 2 A rho_k: its
-        formal source term C (lam0 + lam1) - A (rho1 - rho0) exceeds the one
-        in c0 by that much for every family.
+        shape-invariant; p1 is the step after pk, computed when not given.
+        The ``"alternating"`` branch adds 2 A rho_k: its formal source term
+        C (lam0 + lam1) - A (rho1 - rho0) exceeds the one in c0 by that much
+        for every family.
         """
         pk = self.params0 if pk is None else pk
-        r = self.partner_coeffs(pk)[2]
+        r = self.partner_coeffs(pk, p1)[2]
         if self.branch == "alternating":
             r += 2.0 * self.ode_coeffs()[0] * pk.rho
         return r

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -216,6 +215,9 @@ def _parse_table(path: str) -> list:
 
 
 def _tabulated(params: dict) -> MassProfile:
+    # scipy.interpolate takes most of a cold start; only this profile needs it
+    from scipy.interpolate import PchipInterpolator
+
     if "data" in params:
         rows = params["data"]
     elif "path" in params:

@@ -8,8 +8,10 @@ Two independent engines are provided and cross-checked:
   branch, obtained by telescoping the same sums.
 
 On the alternating branch the degenerate-quadratic (Coulomb-like)
-family keeps its own pair of operations: its chain is restricted to
-even recursion steps there.
+family keeps its own pair of operations, ``coulomb_spectrum_sum`` and
+``coulomb_closed_level``: its chain is restricted to even recursion
+steps there.  Both take the coulomb ``FamilyModel`` and read its b, l
+and Z e^2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 
 __all__ = [
     "SpectrumTable",
-    "CoulombParams",
     "spectrum_sum",
     "spectrum_closed",
     "pt_reduced_spectrum",
@@ -82,10 +83,10 @@ def _model_table(model: FamilyModel, energies: list[float], method: str) -> Spec
 def spectrum_sum(model: FamilyModel, n_max: int) -> SpectrumTable:
     """Partial sums of the remainder over the parameter chain."""
     _check_n_max(n_max)
-    chain = model.param_chain(max(n_max - 1, 0))
+    chain = model.param_chain(n_max)
     energies = [0.0]
-    for k in range(n_max):
-        energies.append(energies[-1] + model.remainder_R(chain[k]))
+    for pk, p1 in zip(chain, chain[1:]):
+        energies.append(energies[-1] + model.remainder_R(pk, p1))
     return _model_table(model, energies, "partial_sum")
 
 
@@ -190,66 +191,39 @@ def morse_reduced_spectrum(a: float, sigma0: float, n_max: int) -> SpectrumTable
     )
 
 
-@dataclass(frozen=True)
-class CoulombParams:
-    """Inputs of the degenerate-quadratic spectrum (hbar = 1 units)."""
-
-    z: float
-    l: int
-    b: float
-    e2: float = 1.0
-
-    def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
-            raise ValidationError(["l must be a non-negative integer"])
-        if self.b == 0.0:
-            raise ValidationError(["b != 0"])
-
-    @property
-    def ze2(self) -> float:
-        return self.z * self.e2
+def _coulomb_inputs(model: FamilyModel) -> tuple[float, int, float]:
+    if model.family != "coulomb" or model.branch != "alternating":
+        raise ConfigError("the coulomb operations take a coulomb model on the alternating branch")
+    return model.coeffs.b, model.l, model.ze2
 
 
-def _coulomb_summand(cp: CoulombParams, k: int) -> float:
-    # remainder at even chain index k, where the pole coefficient vanishes
-    return -(cp.b * cp.b * k + cp.ze2 * cp.b / (cp.l + 1.0))
-
-
-def coulomb_closed_level(cp: CoulombParams, n_cap: int) -> float:
+def coulomb_closed_level(model: FamilyModel, n_cap: int) -> float:
     """Closed form at even chain length N = n_cap."""
+    b, l, ze2 = _coulomb_inputs(model)
     nr = math.floor((n_cap - 1) / 2)
-    return (
-        (-cp.b / (cp.l + 1.0))
-        * (1.0 + nr)
-        * (cp.ze2 + cp.b * (cp.l + 1.0) * nr)
-    )
+    return (-b / (l + 1.0)) * (1.0 + nr) * (ze2 + b * (l + 1.0) * nr)
 
 
-def coulomb_spectrum_sum(cp: CoulombParams, n_cap: int) -> SpectrumTable:
-    """Sum the even-step remainders up to chain length N = n_cap (even).
+def coulomb_spectrum_sum(model: FamilyModel, n_cap: int) -> SpectrumTable:
+    """Sum the even-step remainders of a coulomb model up to chain length
+    N = n_cap (even).
 
     Row n of the table is the energy after chain length 2n.  The pole
     coefficient of the chain vanishes on even steps only, so odd chain
-    lengths are rejected.
-
-    Note: the coefficient b enters each level directly, so tables for
-    different b are different spectra; the ``b_level_coupling`` flag
-    records this.
+    lengths are rejected.  The model's b, l and Z e^2 enter each level
+    directly: tables for different b are different spectra.
     """
+    b, l, ze2 = _coulomb_inputs(model)
     if n_cap < 0 or n_cap % 2 != 0:
         raise ConfigError("chain length N must be an even integer >= 0")
     _check_n_max(n_cap // 2)
     energies = [0.0]
     acc = 0.0
     for p in range(n_cap // 2):
-        acc += _coulomb_summand(cp, 2 * p)
+        # remainder at even chain index 2p, where the pole coefficient vanishes
+        acc += -(b * b * (2 * p) + ze2 * b / (l + 1.0))
         energies.append(acc)
-    return SpectrumTable(
-        levels=tuple(enumerate(energies)),
-        method="partial_sum",
-        family="coulomb",
-        flags={"b_level_coupling": True, **_monotone_flags(energies)},
-    )
+    return _model_table(model, energies, "partial_sum")
 
 
 def coulomb_spectrum_nr(l: int, n_r: int, mode: str = "exact", *, z: float = 1.0):

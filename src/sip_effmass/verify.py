@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 
 from .errors import ConfigError, NumericalError
 from .families import FamilyModel
@@ -44,6 +44,10 @@ MAX_GRID_POINTS = 1_000_001
 MAX_LEVELS = 12
 # Absolute width to which stebz brackets each eigenvalue.
 EIG_ABSTOL = 1e-12
+
+# scipy.linalg.eigh_tridiagonal, bound by the first solve: importing
+# scipy.linalg adds about 0.3 s to a cold start that never solves.
+eigh_tridiagonal = None
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,11 @@ def lowest_eigenvalues(
     diag: NDArray, off: NDArray, k: int, grid: Optional[GridSpec] = None
 ) -> GridEigenResult:
     """Lowest k eigenvalues by LAPACK bisection, residuals by inverse iteration."""
+    global eigh_tridiagonal
+    if eigh_tridiagonal is None:
+        from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import solve_banded
+
     if not 1 <= k <= MAX_LEVELS:
         raise ConfigError(f"k must be between 1 and {MAX_LEVELS}")
     diag = np.asarray(diag, dtype=float)

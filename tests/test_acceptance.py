@@ -23,7 +23,6 @@ from sip_effmass import (
     coulomb_closed_level,
     coulomb_spectrum_nr,
     coulomb_spectrum_sum,
-    CoulombParams,
     discretize,
     discretize_model,
     lowest_eigenvalues,
@@ -243,13 +242,15 @@ def test_criterion_2_closed_equals_sum():
 
 
 def test_criterion_2_coulomb_sum_exact():
-    cp = CoulombParams(z=1.0, l=0, b=0.5)
+    cp = FamilyModel.coulomb(a=1.0, b=0.5, l=0, ze2=1.0, profile=CONST, mumap=CONST_MU)
     for n, e in coulomb_spectrum_sum(cp, 12).levels:
         assert e == coulomb_closed_level(cp, 2 * n)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        cp = CoulombParams(
-            z=rng.uniform(0.2, 4.0), l=int(rng.integers(0, 5)), b=rng.uniform(0.05, 2.0)
+        # keywords in the draw order z, l, b
+        cp = FamilyModel.coulomb(
+            ze2=rng.uniform(0.2, 4.0), l=int(rng.integers(0, 5)), b=rng.uniform(0.05, 2.0),
+            a=1.0, profile=CONST, mumap=CONST_MU,
         )
         n = int(rng.integers(0, 13))
         e_sum = coulomb_spectrum_sum(cp, 2 * n).energies[-1]

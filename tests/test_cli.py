@@ -226,6 +226,59 @@ def test_stderr_is_one_json_document(tmp_path):
     assert err["error_type"] == "NumericalError"
 
 
+def test_coulomb_spectrum_row0_prints_zero(tmp_path):
+    args = [
+        "spectrum", "--family", "coulomb", "--b", "0.5", "--l", "0",
+        "--ze2", "1", "--n", "3", "--out", str(tmp_path),
+    ]
+    assert main(args) == 0
+    assert (tmp_path / "spectrum.csv").read_bytes().splitlines()[3] == b"0,0,0,0"
+
+
+SUBCOMMANDS = ["spectrum", "potential", "groundstate", "verify", "shapecheck"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_coulomb_a_zero_exits_2_everywhere(tmp_path, capsys, command):
+    args = [
+        command, "--family", "coulomb", "--a", "0", "--b", "1",
+        "--x-lo", "0.1", "--x-hi", "5", "--n-points", "65", "--n", "2",
+    ]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValidationError" and "a != 0" in err["violations"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_morse_b_zero_takes_the_default_a_everywhere(tmp_path, capsys, command):
+    # without --a the model gets a = 1, which the linear family rejects
+    args = [
+        command, "--family", "morse", "--b", "0", "--lambda0", "1", "--sigma0", "2.5",
+        "--x-lo=-15", "--x-hi", "5", "--n-points", "65", "--n", "2",
+    ]
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValidationError" and "a < 0" in err["violations"]
+
+
+def test_cold_spectrum_loads_no_scipy(tmp_path):
+    # scipy.interpolate and scipy.linalg load only where they run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import sys\n"
+        "from sip_effmass.cli import main\n"
+        "code = main(['spectrum', '--family', 'ho', '--a', '1', '--lambda0', '1',"
+        f" '--n', '4', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.strip() == "0 []"
+
+
 def test_exit_code_2_on_oversized_grid(tmp_path, capsys):
     # rejected by GridSpec before any node is allocated
     args = [

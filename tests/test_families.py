@@ -98,11 +98,29 @@ def test_morse_reduced_constructor(const_profile, const_mumap):
     m = FamilyModel.morse_reduced(
         a=-1.0, lambda0=1.0, sigma0=-2.5, profile=const_profile, mumap=const_mumap
     )
-    assert m.formal_limit and m.coeffs.b == 0.0
+    assert m.coeffs.b == 0.0
     with pytest.raises(ValidationError):
         FamilyModel.morse_reduced(
             a=1.0, lambda0=1.0, sigma0=-2.5, profile=const_profile, mumap=const_mumap
         )
+
+
+def test_morse_b_zero_is_the_reduced_slice(const_profile, const_mumap):
+    # b = 0 needs no option: q = 2 b lambda0 is required only off that slice
+    m = FamilyModel(
+        family="morse",
+        coeffs=FamilyCoeffs(a=-1.0, b=0.0),
+        params0=ParamTriple(1.0, -2.5, 0.0),
+        profile=const_profile,
+        mumap=const_mumap,
+    )
+    assert m == FamilyModel.morse_reduced(
+        a=-1.0, lambda0=1.0, sigma0=-2.5, profile=const_profile, mumap=const_mumap
+    )
+    assert validate("morse", FamilyCoeffs(a=-1.0, b=0.0), ParamTriple(0.0, 1.0, 0.0)) == []
+    assert "q = 2*b*lambda0 != 0" in validate(
+        "morse", FamilyCoeffs(a=-1.0, b=1.0), ParamTriple(0.0, 1.0, 0.0)
+    )
 
 
 def test_coulomb_constructor_derives_parameters(const_profile, const_mumap):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sip_effmass import (
     ConfigError,
-    CoulombParams,
     FamilyCoeffs,
     FamilyModel,
     MuMap,
@@ -68,6 +67,21 @@ def test_spectrum_closed_refuses_coulomb():
     m = FamilyModel.coulomb(a=1.0, b=1.0, l=0, ze2=1.0, profile=PROFILE, mumap=MUMAP)
     with pytest.raises(ConfigError):
         spectrum_closed(m, 3)
+
+
+@pytest.mark.parametrize("branch", ["alternating", "shift"])
+def test_spectrum_sum_runs_each_step_once(monkeypatch, branch):
+    m = model("ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, 0.0), branch=branch)
+    calls = []
+    next_params = FamilyModel.next_params
+
+    def counted(self, pk=None):
+        calls.append(pk)
+        return next_params(self, pk)
+
+    monkeypatch.setattr(FamilyModel, "next_params", counted)
+    spectrum_sum(m, 10)
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("rho_zero", [True, False], ids=["rho0=0", "rho0!=0"])
@@ -249,9 +263,13 @@ def test_morse_reduced_orientation_invariance(a, sig):
 # degenerate-quadratic (radial) family
 
 
+def _coulomb(z, l, b):
+    return FamilyModel.coulomb(a=1.0, b=b, l=l, ze2=z, profile=PROFILE, mumap=MUMAP)
+
+
 def test_coulomb_sum_equals_closed_dyadic():
     """With dyadic parameters the two engines agree bit-for-bit."""
-    cp = CoulombParams(z=1.0, l=0, b=0.5)
+    cp = _coulomb(z=1.0, l=0, b=0.5)
     table = coulomb_spectrum_sum(cp, 8)
     for n, e in table.levels:
         assert e == coulomb_closed_level(cp, 2 * n)
@@ -265,7 +283,7 @@ def test_coulomb_sum_equals_closed_dyadic():
     n=st.integers(min_value=0, max_value=12),
 )
 def test_coulomb_sum_equals_closed_property(z, l, b, n):
-    cp = CoulombParams(z=z, l=l, b=b)
+    cp = _coulomb(z=z, l=l, b=b)
     e_sum = coulomb_spectrum_sum(cp, 2 * n).energies[-1]
     e_closed = coulomb_closed_level(cp, 2 * n)
     assert abs(e_sum - e_closed) <= 1e-12 * max(1.0, abs(e_closed))
@@ -273,24 +291,33 @@ def test_coulomb_sum_equals_closed_property(z, l, b, n):
 
 def test_coulomb_sum_rejects_odd_chain_length():
     with pytest.raises(ConfigError):
-        coulomb_spectrum_sum(CoulombParams(z=1.0, l=0, b=1.0), 3)
+        coulomb_spectrum_sum(_coulomb(z=1.0, l=0, b=1.0), 3)
+
+
+def test_coulomb_operations_take_an_alternating_coulomb_model():
+    ho = model("ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, 0.0))
+    shift = FamilyModel.coulomb(
+        a=1.0, b=0.5, l=0, ze2=1.0, profile=PROFILE, mumap=MUMAP, branch="shift"
+    )
+    for m in (ho, shift):
+        with pytest.raises(ConfigError):
+            coulomb_spectrum_sum(m, 4)
+        with pytest.raises(ConfigError):
+            coulomb_closed_level(m, 4)
 
 
 def test_coulomb_params_validation():
     with pytest.raises(Exception):
-        CoulombParams(z=1.0, l=-1, b=1.0)
+        _coulomb(z=1.0, l=-1, b=1.0)
     with pytest.raises(Exception):
-        CoulombParams(z=1.0, l=0, b=0.0)
+        _coulomb(z=1.0, l=0, b=0.0)
 
 
 def test_coulomb_b_enters_levels():
     """The family coefficient b couples into every level value."""
-    e1 = coulomb_closed_level(CoulombParams(z=1.0, l=0, b=0.5), 4)
-    e2 = coulomb_closed_level(CoulombParams(z=1.0, l=0, b=1.0), 4)
+    e1 = coulomb_closed_level(_coulomb(z=1.0, l=0, b=0.5), 4)
+    e2 = coulomb_closed_level(_coulomb(z=1.0, l=0, b=1.0), 4)
     assert e1 != e2
-    assert coulomb_spectrum_sum(CoulombParams(z=1.0, l=0, b=0.5), 4).flags[
-        "b_level_coupling"
-    ]
 
 
 def test_coulomb_exact_level_reference_value():
@@ -334,12 +361,12 @@ def test_coulomb_quantum_map():
 def test_coulomb_quantum_map_consistent_with_closed_level():
     """For l = 0 the closed level at chain length N = 2n sits at radial
     index n_r = n - 1."""
-    cp = CoulombParams(z=1.0, l=0, b=0.5)
+    cp = _coulomb(z=1.0, l=0, b=0.5)
     n = 3
     n_cap, n_r, s = coulomb_quantum_map(n, 0)
     assert n_cap == 6 and s == 1
     e = coulomb_closed_level(cp, n_cap)
     nr_used = math.floor((n_cap - 1) / 2)
     assert nr_used == n - 1
-    expected = (-cp.b / 1.0) * (1.0 + nr_used) * (1.0 + cp.b * 1.0 * nr_used)
+    expected = (-cp.coeffs.b / 1.0) * (1.0 + nr_used) * (1.0 + cp.coeffs.b * 1.0 * nr_used)
     assert e == pytest.approx(expected, abs=1e-14)
