@@ -23,7 +23,7 @@ from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 from .groundstate import _annihilation_pointwise, _psi0_generic
 from .massprofile import MassProfile, MuMap, registry_get
 from .spectra import coulomb_closed_level, coulomb_spectrum_sum, spectrum_closed, spectrum_sum
-from .verify import GridSpec, compare, morse_reduced_compare
+from .verify import MAX_LEVELS, GridSpec, compare, morse_reduced_compare
 
 HEADER_COMMENT = "# units: hbar = 1, e2 = 1"
 
@@ -163,10 +163,24 @@ def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
     return profile, mumap
 
 
+# family keys that cannot take effect: coulomb derives (c, lambda0, sigma0,
+# rho0) from (a, b, l, ze2), and ho and morse have no c
+_DEAD_KEYS = {
+    "coulomb": ("c", "lambda0", "sigma0", "rho0"),
+    "ho": ("c", "l", "ze2"),
+    "morse": ("c", "l", "ze2"),
+    "pt_trig": ("l", "ze2"),
+    "pt_hyp": ("l", "ze2"),
+}
+
+
 def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyModel:
     fcfg = cfg.family
     # 'tag' and 'name' are synonyms
     tag = canonical_family(str(fcfg.get("tag", fcfg.get("name", ""))))
+    dead = [key for key in _DEAD_KEYS[tag] if key in fcfg]
+    if dead:
+        raise ConfigError(f"family '{tag}' does not take {', '.join(dead)}")
     a = float(fcfg.get("a", 1.0))
     if tag == "coulomb":
         return FamilyModel.coulomb(
@@ -242,6 +256,11 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
 
 
 def run_verify(cfg: RunConfig, out_dir: Path):
+    if cfg.n > MAX_LEVELS - 1:
+        raise ConfigError(
+            f"verify solves at most {MAX_LEVELS} levels: --n (the highest level index) "
+            f"must be <= {MAX_LEVELS - 1}, got {cfg.n}"
+        )
     profile, mumap = build_profile(cfg)
     grid = build_grid(cfg)
     model = build_model(cfg, profile, mumap)
@@ -374,7 +393,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--x-lo", dest="x_lo", type=float)
     sub.add_argument("--x-hi", dest="x_hi", type=float)
     sub.add_argument("--n-points", dest="n_points", type=int)
-    sub.add_argument("--n", type=int, help="number of levels")
+    sub.add_argument("--n", type=int, help="spectrum: number of levels; verify: highest level index")
     sub.add_argument("--tol", type=float, help="comparison tolerance")
 
 

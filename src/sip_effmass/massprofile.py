@@ -52,10 +52,6 @@ class MassProfile:
     mu_limits: Optional[tuple] = None
     knots: Optional[NDArray] = None
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.x_lo) and np.all(x <= self.x_hi))
-
 
 def _require_positive(params: dict, key: str):
     val = params.get(key)
@@ -214,10 +210,59 @@ def _parse_table(path: str) -> list:
     return rows
 
 
-def _tabulated(params: dict) -> MassProfile:
-    # scipy.interpolate takes most of a cold start; only this profile needs it
-    from scipy.interpolate import PchipInterpolator
+def _edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
+
+def _pchip(x: NDArray, y: NDArray) -> tuple:
+    """u, du and d2u of the monotone cubic through (x, y), NaN outside [x0, xN].
+
+    Fritsch-Carlson slopes (SIAM J. Numer. Anal. 17 (1980) 238): the
+    weighted harmonic mean of the adjacent secants, 0 where they change
+    sign or vanish.  The arithmetic and its order are those of
+    ``scipy.interpolate.PchipInterpolator(x, y, extrapolate=False)`` and
+    its derivatives, so the values agree to the last bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.concatenate(([_edge_slope(h[0], h[1], m[0], m[1])],
+                            np.where(flat, 0.0, 1.0 / whmean),
+                            [_edge_slope(h[-1], h[-2], m[-1], m[-2])]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    inner, lo, hi = x[1:-1], x[0], x[-1]
+
+    def piecewise(*coeffs):
+        """sum_k coeffs[k][j] s^k on the interval j holding z, s = z - x[j], in that order."""
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            inside = None
+            if not (lo <= z.min(initial=lo) and z.max(initial=hi) <= hi):  # also NaN
+                inside = (z >= lo) & (z <= hi)
+                z = np.where(inside, z, lo)
+            j = np.searchsorted(inner, z, side="right")
+            s = z - x[j]
+            out, sk = coeffs[0][j] + coeffs[1][j] * s, s
+            for c in coeffs[2:]:
+                sk = sk * s
+                out += c[j] * sk
+            return np.asarray(out if inside is None else np.where(inside, out, np.nan))
+        return f
+
+    return piecewise(c3, c2, c1, c0), piecewise(c2, 2 * c1, 3 * c0), piecewise(2 * c1, 6 * c0)
+
+
+def _tabulated(params: dict) -> MassProfile:
     if "data" in params:
         rows = params["data"]
     elif "path" in params:
@@ -240,19 +285,16 @@ def _tabulated(params: dict) -> MassProfile:
 
     # Monotone cubic interpolation of U itself keeps U positive and
     # avoids derivative overshoot near steep mass gradients.
-    uvals = 1.0 / np.sqrt(2.0 * m)
-    interp = PchipInterpolator(x, uvals, extrapolate=False)
-    dinterp = interp.derivative()
-    d2interp = interp.derivative(2)
+    u, du, d2u = _pchip(x, 1.0 / np.sqrt(2.0 * m))
 
     return MassProfile(
         name="tabulated",
         params={"x": x, "m": m},
         x_lo=float(x[0]),
         x_hi=float(x[-1]),
-        u=lambda z: np.asarray(interp(np.asarray(z, dtype=float))),
-        du=lambda z: np.asarray(dinterp(np.asarray(z, dtype=float))),
-        d2u=lambda z: np.asarray(d2interp(np.asarray(z, dtype=float))),
+        u=u,
+        du=du,
+        d2u=d2u,
         default_ref=float(x[0]),
         knots=x,
     )

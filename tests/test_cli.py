@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes, sweeps."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from sip_effmass import cli
 from sip_effmass.cli import main
 from sip_effmass.massprofile import MuMap
 from sip_effmass.spectra import MAX_TABLE_LEVELS
+from sip_effmass.verify import MAX_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
 ASINH_ARGS = ["--profile", "asinh_mu", "--m0", "0.5", "--alpha", "0.5"]
@@ -26,6 +29,11 @@ MORSE_ARGS = [
 PT_ARGS = [
     "--family", "pt_trig", "--a", "1", "--b", "0", "--c", "1",
     "--lambda0", "2", "--sigma0", "0", "--rho0", "1", "--n", "3",
+]
+
+PT_HYP_ARGS = [
+    "--family", "pt_hyp", "--a", "1", "--b", "0", "--c=-1",
+    "--lambda0", "2", "--sigma0", "0", "--rho0", "0", "--n", "3",
 ]
 
 
@@ -155,16 +163,17 @@ def test_exit_code_2_on_bad_tol(tmp_path, capsys, family_args, tol):
 def test_level_count_is_capped(tmp_path, capsys):
     n = str(MAX_TABLE_LEVELS + 1)
     coulomb = ["--family", "coulomb", "--b", "0.5", "--l", "0", "--ze2", "1"]
-    for args in (
-        ["spectrum", *HO_ARGS, "--n", n],
-        ["spectrum", *coulomb, "--n", n],
-        ["verify", *HO_ARGS, "--n", n],
-        ["verify", *MORSE_REDUCED_ARGS, "--n", n],
+    # verify solves at most MAX_LEVELS levels, so its own cap comes first
+    for args, cap in (
+        (["spectrum", *HO_ARGS, "--n", n], MAX_TABLE_LEVELS - 1),
+        (["spectrum", *coulomb, "--n", n], MAX_TABLE_LEVELS - 1),
+        (["verify", *HO_ARGS, "--n", n], MAX_LEVELS - 1),
+        (["verify", *MORSE_REDUCED_ARGS, "--n", n], MAX_LEVELS - 1),
     ):
         assert main([*args, "--out", str(tmp_path)]) == 2, args
         err = json.loads(capsys.readouterr().err)
         assert err["error_type"] == "ConfigError"
-        assert str(MAX_TABLE_LEVELS - 1) in err["message"]
+        assert str(cap) in err["message"]
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -177,6 +186,69 @@ def test_level_count_is_capped(tmp_path, capsys):
     points = json.loads((out / "manifest.json").read_text())["points"]
     assert [p["status"] for p in points] == ["ok", "error"]
     assert points[1]["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("family_args", [
+    [*HO_ARGS, "--x-lo=-8", "--x-hi", "8", "--n-points", "2001"],
+    [*MORSE_REDUCED_ARGS, "--n-points", "2001"],
+], ids=["ho", "morse_b0"])
+def test_verify_n_is_the_highest_solved_level(tmp_path, capsys, monkeypatch, family_args):
+    assert main(["verify", *family_args, "--n", str(MAX_LEVELS - 1), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert len(doc["algebraic_levels"]) <= len(doc["eigenvalues"]) <= MAX_LEVELS
+
+    # one past the cap exits 2 before a profile is built
+    def no_build(cfg):
+        raise AssertionError("profile built")
+
+    monkeypatch.setattr(cli, "build_profile", no_build)
+    out = tmp_path / "over"
+    assert main(["verify", *family_args, "--n", str(MAX_LEVELS), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError"
+    assert f"must be <= {MAX_LEVELS - 1}, got {MAX_LEVELS}" in err["message"]
+    assert not (out / "verify.json").exists()
+
+
+def test_n_help_says_count_and_index(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "spectrum: number of levels; verify: highest level index" in help_text
+
+
+COULOMB_ARGS = ["--family", "coulomb", "--a", "1", "--b", "0.5", "--l", "0", "--ze2", "1"]
+# (family flags, dead key, value): coulomb derives c, lambda0, sigma0 and rho0,
+# only coulomb reads l and ze2, and ho and morse have no c
+DEAD_FLAGS = [
+    *((COULOMB_ARGS, key, "0.5") for key in ("lambda0", "sigma0", "rho0", "c")),
+    *((args, key, value) for args in (HO_ARGS, MORSE_ARGS, PT_ARGS, PT_HYP_ARGS)
+      for key, value in (("l", "1"), ("ze2", "1"))),
+    (HO_ARGS, "c", "1"),
+    (MORSE_ARGS, "c", "1"),
+]
+
+
+def _dead_flag_id(case):
+    return f"{case[0][1]}-{case[1]}"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("case", DEAD_FLAGS, ids=map(_dead_flag_id, DEAD_FLAGS))
+def test_dead_family_keys_exit_2(tmp_path, capsys, case, source):
+    family_args, key, value = case
+    args = ["spectrum", *family_args, "--out", str(tmp_path)]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {key: float(value)}}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError"
+    assert err["message"] == f"family '{family_args[1]}' does not take {key}"
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
@@ -261,22 +333,33 @@ def test_morse_b_zero_takes_the_default_a_everywhere(tmp_path, capsys, command):
     assert err["error_type"] == "ValidationError" and "a < 0" in err["violations"]
 
 
-def test_cold_spectrum_loads_no_scipy(tmp_path):
-    # scipy.interpolate and scipy.linalg load only where they run
+@pytest.mark.parametrize("profile", ["analytic", "tabulated"])
+def test_cold_spectrum_loads_no_scipy(tmp_path, profile):
+    # scipy.linalg loads on the first eigensolve; nothing else loads scipy
+    if profile == "analytic":
+        runs = [["spectrum", "--family", "ho", "--a", "1", "--lambda0", "1", "--n", "4"]]
+    else:
+        table = tmp_path / "mass.csv"
+        rows = [f"{0.25 * k!r},{0.5 + 0.1 * math.tanh(0.25 * k)!r}" for k in range(-12, 13)]
+        table.write_text("x,m\n" + "\n".join(rows) + "\n")
+        tab = ["--profile", "tabulated", "--table", str(table)]
+        runs = [
+            ["spectrum", *tab, *HO_ARGS],
+            ["potential", *tab, *HO_ARGS, "--x-lo=-2", "--x-hi", "2", "--n-points", "65"],
+        ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     script = (
         "import sys\n"
         "from sip_effmass.cli import main\n"
-        "code = main(['spectrum', '--family', 'ho', '--a', '1', '--lambda0', '1',"
-        f" '--n', '4', '--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"codes = [main([*argv, '--out', {str(tmp_path)!r}]) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == f"{[0] * len(runs)} []", proc.stderr
 
 
 def test_exit_code_2_on_oversized_grid(tmp_path, capsys):

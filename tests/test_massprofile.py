@@ -1,6 +1,10 @@
 """Mass-profile registry and the deformation coordinate mu."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,70 @@ def test_tabulated_rejects_bad_files(tmp_path):
     ):
         with pytest.raises(ConfigError):
             registry_get("tabulated", data=data)
+
+
+def _parity_tables():
+    """Seeded (x, m) tables, then one whose end slopes take both limiter branches."""
+    rng = np.random.default_rng(20260)
+    for k in range(40):
+        n = int(rng.integers(4, 40))
+        if k % 2:
+            x = np.linspace(-5.0, 5.0, n)
+        else:
+            x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+        m = rng.uniform(0.2, 2.0, n)  # secants change sign
+        if k % 4 == 0:
+            m[1:4] = m[1]  # a flat run
+        yield x, m
+    # U = 1/sqrt(2m) has secants 0.1, 0.9, ... (left: three-point slope < 0)
+    # and ..., -1.0, 0.2 (right: it overshoots 3 m0)
+    u = np.array([1.0, 1.1, 2.0, 2.2, 1.2, 1.4])
+    yield np.arange(6.0), 1.0 / (2.0 * u * u)
+
+
+def test_tabulated_pchip_equals_scipy():
+    """U, U' and U'' of the tabulated profile are scipy's PCHIP to the last bit."""
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    for x, m in _parity_tables():
+        profile = registry_get("tabulated", data=np.c_[x, m])
+        pchip = PchipInterpolator(x, 1.0 / np.sqrt(2.0 * m), extrapolate=False)
+        oracle = (pchip, pchip.derivative(1), pchip.derivative(2))
+        z = np.concatenate([
+            x, rng.uniform(x[0], x[-1], 500),
+            [x[0] - 1.0, x[-1] + 0.5, -np.inf, np.inf, np.nan],
+        ])
+        for ours, ref in zip((profile.u, profile.du, profile.d2u), oracle):
+            assert np.array_equal(ours(z), ref(z), equal_nan=True)
+            for zi in (x[0], x[2], x[-1], x[-1] + 1.0, np.nan):
+                got = ours(zi)
+                assert isinstance(got, np.ndarray) and got.ndim == 0
+                assert np.array_equal(got, ref(zi), equal_nan=True)
+            assert np.isnan(ours(z[-5:])).all()
+    # the last table reaches both end-slope limits: 0 and 3 m0
+    u = 1.0 / np.sqrt(2.0 * m)
+    assert profile.du(x[0]) == 0.0
+    assert profile.du(x[-1]) == 3.0 * (u[-1] - u[-2])
+
+
+def test_profiles_load_no_scipy():
+    script = (
+        "import sys\n"
+        "import sip_effmass as s\n"
+        "data = [[0.0, 1.0], [1.0, 1.2], [2.0, 0.9], [3.0, 1.1]]\n"
+        "for name in s.REGISTRY_NAMES:\n"
+        "    p = s.registry_get(name, m0=0.5, alpha=0.2, beta=0.3, data=data)\n"
+        "    s.MuMap(p).mu_array([0.5, 1.5])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_domain_check():
