@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,7 @@ from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 from .groundstate import _annihilation_pointwise, _psi0_generic
 from .massprofile import MassProfile, MuMap, registry_get
 from .spectra import coulomb_closed_level, coulomb_spectrum_sum, spectrum_closed, spectrum_sum
-from .verify import MAX_LEVELS, GridSpec, compare, morse_reduced_compare
+from .verify import GridSpec, _check_level_count, compare, morse_reduced_compare
 
 HEADER_COMMENT = "# units: hbar = 1, e2 = 1"
 
@@ -89,7 +89,6 @@ def _write_json(path: Path, title: str, payload: dict):
 
 @dataclass
 class RunConfig:
-    command: str
     profile: dict = field(default_factory=dict)
     family: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
@@ -100,13 +99,62 @@ class RunConfig:
     outputs: list = field(default_factory=lambda: ["spectrum"])
 
 
-_PROFILE_KEYS = ("m0", "alpha", "beta", "path", "x_ref")
-_FAMILY_KEYS = ("tag", "a", "b", "c", "lambda0", "sigma0", "rho0", "l", "ze2")
+# (flag, RunConfig key, type, help): everything a flag, a config-file field
+# or a sweep key can set.  Rows without a flag are config-file only.
+_KEYS = (
+    ("--out", "out", str, "output directory (default '.')"),
+    ("--profile", "profile.name", str, "mass profile name from the registry"),
+    ("--m0", "profile.m0", float, "mass scale m0 > 0"),
+    ("--alpha", "profile.alpha", float, "profile shape parameter"),
+    ("--beta", "profile.beta", float, "exponential mass rate (> 0)"),
+    ("--table", "profile.path", str, "CSV path for the tabulated profile"),
+    (None, "profile.data", list, None),
+    ("--x-ref", "profile.x_ref", float, "anchor with mu(x_ref) = 0"),
+    ("--family", "family.tag", str, "family tag: ho, morse, pt_trig, pt_hyp, coulomb"),
+    (None, "family.name", str, None),
+    ("--a", "family.a", float, None),
+    ("--b", "family.b", float, None),
+    ("--c", "family.c", float, None),
+    ("--lambda0", "family.lambda0", float, None),
+    ("--sigma0", "family.sigma0", float, None),
+    ("--rho0", "family.rho0", float, None),
+    ("--l", "family.l", int, "angular momentum (coulomb family)"),
+    ("--ze2", "family.ze2", float, "coupling Z e^2 (coulomb family)"),
+    ("--x-lo", "grid.x_lo", float, None),
+    ("--x-hi", "grid.x_hi", float, None),
+    ("--n-points", "grid.n_points", int, None),
+    ("--n", "n", int, "spectrum: number of levels; verify: highest level index"),
+    ("--tol", "tol", float, "comparison tolerance"),
+)
+_KEY_TYPES = {key: typ for _, key, typ, _ in _KEYS}
+
+
+def _key_type(dotted: str) -> type:
+    if dotted not in _KEY_TYPES:
+        raise ConfigError(f"unknown key '{dotted}'; known keys: {', '.join(_KEY_TYPES)}")
+    return _KEY_TYPES[dotted]
+
+
+def _apply_override(cfg: RunConfig, dotted: str, value):
+    """Set one key of the table on cfg, converted with the key's type."""
+    typ = _key_type(dotted)
+    try:
+        typed = typ(value) if typ in (int, float) else value
+    except (TypeError, ValueError, OverflowError):
+        typed = None
+    # str and list keys take only their own type; an int key takes no fraction
+    if not isinstance(typed, typ) or (typ is int and isinstance(value, float) and typed != value):
+        raise ConfigError(f"'{dotted}' takes a value of type {typ.__name__}, got {value!r}")
+    section, _, key = dotted.partition(".")
+    if key:
+        getattr(cfg, section)[key] = typed
+    else:
+        setattr(cfg, section, typed)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -115,100 +163,87 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
 
-    cfg = RunConfig(
-        command=args.command,
-        profile=dict(raw.get("profile", {})),
-        family=dict(raw.get("family", {})),
-        grid=dict(raw.get("grid", {})),
-        n=int(raw.get("n", 4)),
-        tol=float(raw.get("tol", 5e-3)),
-        out=str(raw.get("out", ".")),
-        sweep=dict(raw.get("sweep", {})),
-        outputs=list(raw.get("outputs", ["spectrum"])),
-    )
-
+    cfg = RunConfig(sweep=raw.pop("sweep", {}), outputs=raw.pop("outputs", ["spectrum"]))
+    if not (isinstance(cfg.sweep, dict) and isinstance(cfg.outputs, list)):
+        raise ConfigError("config 'sweep' must be a JSON object and 'outputs' a list")
+    for name, value in raw.items():
+        if name not in ("profile", "family", "grid"):
+            _apply_override(cfg, name, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config section '{name}' must be a JSON object")
+        else:
+            for key, item in value.items():
+                _apply_override(cfg, f"{name}.{key}", item)
     # command-line flags override file fields
-    if getattr(args, "profile", None):
-        cfg.profile["name"] = args.profile
-    for key in _PROFILE_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg.profile[key] = val
-    if getattr(args, "family", None):
-        cfg.family["tag"] = args.family
-    for key in _FAMILY_KEYS[1:]:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg.family[key] = val
-    for key, attr in (("x_lo", "x_lo"), ("x_hi", "x_hi"), ("n_points", "n_points")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.grid[key] = val
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
+    flags = vars(args)
+    for key in _KEY_TYPES:
+        if flags.get(key) is not None:
+            _apply_override(cfg, key, flags[key])
     return cfg
 
 
-def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
-    pcfg = dict(cfg.profile)
-    name = pcfg.pop("name", "constant")
-    x_ref = pcfg.pop("x_ref", None)
-    pcfg.setdefault("m0", 0.5)
-    profile = registry_get(name, **pcfg)
-    mumap = MuMap(profile, x_ref=x_ref)
-    return profile, mumap
-
-
-# family keys that cannot take effect: coulomb derives (c, lambda0, sigma0,
-# rho0) from (a, b, l, ze2), and ho and morse have no c
+# keys that cannot take effect, by family or profile name: coulomb derives
+# (c, lambda0, sigma0, rho0) from (a, b, l, ze2), ho and morse have no c, and
+# each profile reads only its own shape keys
 _DEAD_KEYS = {
     "coulomb": ("c", "lambda0", "sigma0", "rho0"),
     "ho": ("c", "l", "ze2"),
     "morse": ("c", "l", "ze2"),
     "pt_trig": ("l", "ze2"),
     "pt_hyp": ("l", "ze2"),
+    "constant": ("alpha", "beta", "path", "data"),
+    "exp_mass": ("alpha", "path", "data"),
+    "asinh_mu": ("beta", "path", "data"),
+    "arctan_mu": ("beta", "path", "data"),
+    "tabulated": ("m0", "alpha", "beta"),
 }
+
+
+def _reject_dead_keys(kind: str, name: str, section: dict):
+    dead = [key for key in _DEAD_KEYS.get(name, ()) if key in section]
+    if dead:
+        raise ConfigError(f"{kind} '{name}' does not take {', '.join(dead)}")
+
+
+def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
+    pcfg = dict(cfg.profile)
+    name = pcfg.pop("name", "constant")
+    x_ref = pcfg.pop("x_ref", None)
+    _reject_dead_keys("profile", name, pcfg)
+    if name == "tabulated" and "path" in pcfg and "data" in pcfg:
+        raise ConfigError("profile 'tabulated' takes path or data, not both")
+    pcfg.setdefault("m0", 0.5)
+    profile = registry_get(name, **pcfg)
+    mumap = MuMap(profile, x_ref=x_ref)
+    return profile, mumap
 
 
 def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyModel:
     fcfg = cfg.family
     # 'tag' and 'name' are synonyms
-    tag = canonical_family(str(fcfg.get("tag", fcfg.get("name", ""))))
-    dead = [key for key in _DEAD_KEYS[tag] if key in fcfg]
-    if dead:
-        raise ConfigError(f"family '{tag}' does not take {', '.join(dead)}")
-    a = float(fcfg.get("a", 1.0))
+    tag = canonical_family(fcfg.get("tag", fcfg.get("name", "")))
+    _reject_dead_keys("family", tag, fcfg)
+    a = fcfg.get("a", 1.0)
     if tag == "coulomb":
         return FamilyModel.coulomb(
             a=a,
-            b=float(fcfg.get("b", 1.0)),
-            l=int(fcfg.get("l", 0)),
-            ze2=float(fcfg.get("ze2", 1.0)),
+            b=fcfg.get("b", 1.0),
+            l=fcfg.get("l", 0),
+            ze2=fcfg.get("ze2", 1.0),
             profile=profile,
             mumap=mumap,
         )
     params0 = ParamTriple(
-        lam=float(fcfg.get("lambda0", 1.0)),
-        sigma=float(fcfg.get("sigma0", 0.0)),
-        rho=float(fcfg.get("rho0", 0.0)),
+        lam=fcfg.get("lambda0", 1.0), sigma=fcfg.get("sigma0", 0.0), rho=fcfg.get("rho0", 0.0)
     )
-    coeffs = FamilyCoeffs(a=a, b=float(fcfg.get("b", 0.0)), c=float(fcfg.get("c", 0.0)))
+    coeffs = FamilyCoeffs(a=a, b=fcfg.get("b", 0.0), c=fcfg.get("c", 0.0))
     return FamilyModel(
         family=tag, coeffs=coeffs, params0=params0, profile=profile, mumap=mumap
     )
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
-    g = cfg.grid
-    return GridSpec(
-        x_lo=float(g.get("x_lo", -10.0)),
-        x_hi=float(g.get("x_hi", 10.0)),
-        n_points=int(g.get("n_points", 1001)),
-    )
+    return GridSpec(**{"x_lo": -10.0, "x_hi": 10.0, "n_points": 1001, **cfg.grid})
 
 
 # --------------------------------------------------------------------------
@@ -256,15 +291,16 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
 
 
 def run_verify(cfg: RunConfig, out_dir: Path):
-    if cfg.n > MAX_LEVELS - 1:
-        raise ConfigError(
-            f"verify solves at most {MAX_LEVELS} levels: --n (the highest level index) "
-            f"must be <= {MAX_LEVELS - 1}, got {cfg.n}"
-        )
+    _check_level_count(cfg.n)
     profile, mumap = build_profile(cfg)
     grid = build_grid(cfg)
     model = build_model(cfg, profile, mumap)
     if model.family == "morse" and model.coeffs.b == 0.0:
+        # the reduced well is compared at rho0 = 0, so another rho0 is not checked
+        if model.params0.rho != 0.0:
+            raise ConfigError(
+                f"verify on the morse b = 0 slice takes rho0 = 0, got {model.params0.rho!r}"
+            )
         report = morse_reduced_compare(
             a=model.coeffs.a,
             sigma0=abs(model.params0.sigma),
@@ -306,17 +342,6 @@ _RUNNERS = {
 }
 
 
-def _apply_override(cfg: RunConfig, dotted: str, value):
-    section, _, key = dotted.partition(".")
-    if not key:
-        setattr(cfg, section, value)
-        return
-    target = getattr(cfg, section, None)
-    if not isinstance(target, dict):
-        raise ConfigError(f"unknown sweep target '{dotted}'")
-    target[key] = value
-
-
 def run_sweep(cfg: RunConfig, out_dir: Path):
     if not cfg.sweep:
         _write_json(out_dir / "manifest.json", "sweep", {"points": []})
@@ -324,6 +349,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
     keys = sorted(cfg.sweep)
     ranges = []
     for key in keys:
+        _key_type(key)  # an unknown key fails the sweep before any point runs
         vals = cfg.sweep[key]
         if not isinstance(vals, (list, tuple)):
             raise ConfigError(f"sweep values for '{key}' must be a list")
@@ -342,13 +368,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
             "overrides": {k: v for k, v in zip(keys, values)},
         }
         try:
-            local = RunConfig(
-                command=cfg.command,
+            local = replace(
+                cfg,
                 profile=dict(cfg.profile),
                 family=dict(cfg.family),
                 grid=dict(cfg.grid),
-                n=cfg.n,
-                tol=cfg.tol,
                 out=str(sub),
             )
             for key, value in zip(keys, values):
@@ -374,27 +398,10 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--out", help="output directory (default '.')")
-    sub.add_argument("--profile", help="mass profile name from the registry")
-    sub.add_argument("--m0", type=float, help="mass scale m0 > 0")
-    sub.add_argument("--alpha", type=float, help="profile shape parameter")
-    sub.add_argument("--beta", type=float, help="exponential mass rate (> 0)")
-    sub.add_argument("--table", dest="path", help="CSV path for the tabulated profile")
-    sub.add_argument("--x-ref", dest="x_ref", type=float, help="anchor with mu(x_ref) = 0")
-    sub.add_argument("--family", help="family tag: ho, morse, pt_trig, pt_hyp, coulomb")
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--lambda0", type=float)
-    sub.add_argument("--sigma0", type=float)
-    sub.add_argument("--rho0", type=float)
-    sub.add_argument("--l", type=int, help="angular momentum (coulomb family)")
-    sub.add_argument("--ze2", type=float, help="coupling Z e^2 (coulomb family)")
-    sub.add_argument("--x-lo", dest="x_lo", type=float)
-    sub.add_argument("--x-hi", dest="x_hi", type=float)
-    sub.add_argument("--n-points", dest="n_points", type=int)
-    sub.add_argument("--n", type=int, help="spectrum: number of levels; verify: highest level index")
-    sub.add_argument("--tol", type=float, help="comparison tolerance")
+    # values stay strings here: load_config types them with the table
+    for flag, key, _, helptext in _KEYS:
+        if flag:
+            sub.add_argument(flag, dest=key, metavar=key.rpartition(".")[2].upper(), help=helptext)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -220,6 +220,15 @@ def _eigensolve_with_refinement(
     return fine
 
 
+def _check_level_count(n_levels: int):
+    """Levels 0..n_levels must fit in the MAX_LEVELS the eigensolver finds."""
+    if n_levels > MAX_LEVELS - 1:
+        raise ConfigError(
+            f"verify solves at most {MAX_LEVELS} levels: --n (the highest level index) "
+            f"must be <= {MAX_LEVELS - 1}, got {n_levels}"
+        )
+
+
 def compare(
     model: FamilyModel,
     grid: GridSpec,
@@ -235,8 +244,9 @@ def compare(
     """
     if n_levels < 1:
         raise ConfigError("n_levels must be >= 1")
+    _check_level_count(n_levels)
     algebraic = spectrum_sum(model, n_levels).energies
-    k = min(n_levels + 1, MAX_LEVELS)
+    k = n_levels + 1
     result = _eigensolve_with_refinement(
         model.profile, model.potential_V1, grid, k, tol
     )

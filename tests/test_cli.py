@@ -251,6 +251,149 @@ def test_dead_family_keys_exit_2(tmp_path, capsys, case, source):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+TABLE_ROWS = [[0.0, 0.5], [1.0, 0.6], [2.0, 0.7], [3.0, 0.8]]
+# (profile flags, dead key, flag or None, file value): each profile reads only
+# its own shape keys, and tabulated takes its table from path or data alone
+DEAD_PROFILE_KEYS = [
+    *((["--profile", "constant"], key, flag, value) for key, flag, value in (
+        ("alpha", "--alpha", 1.0), ("beta", "--beta", 1.0), ("path", "--table", "m.csv"),
+        ("data", None, TABLE_ROWS))),
+    *((["--profile", "exp_mass", "--beta", "1"], key, flag, value) for key, flag, value in (
+        ("alpha", "--alpha", 1.0), ("path", "--table", "m.csv"), ("data", None, TABLE_ROWS))),
+    *((["--profile", name, "--alpha", "0.5"], key, flag, value)
+      for name in ("asinh_mu", "arctan_mu") for key, flag, value in (
+        ("beta", "--beta", 1.0), ("path", "--table", "m.csv"), ("data", None, TABLE_ROWS))),
+    *((["--profile", "tabulated", "--table", "m.csv"], key, f"--{key}", 1.0)
+      for key in ("m0", "alpha", "beta")),
+]
+DEAD_PROFILE_CASES = [
+    (case, source) for case in DEAD_PROFILE_KEYS
+    for source in (("flag", "config") if case[2] else ("config",))
+]
+
+
+@pytest.mark.parametrize("case, source", DEAD_PROFILE_CASES,
+                         ids=[f"{c[0][1]}-{c[1]}-{src}" for c, src in DEAD_PROFILE_CASES])
+def test_dead_profile_keys_exit_2(tmp_path, capsys, case, source):
+    profile_args, key, flag, value = case
+    args = ["spectrum", *profile_args, *HO_ARGS, "--out", str(tmp_path)]
+    if source == "flag":
+        args += [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {key: value}}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError"
+    assert err["message"] == f"profile '{profile_args[1]}' does not take {key}"
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_tabulated_takes_path_or_data(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"name": "tabulated", "data": TABLE_ROWS}}))
+    args = ["spectrum", "--config", str(cfg), "--table", "m.csv", *HO_ARGS, "--out", str(tmp_path)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "profile 'tabulated' takes path or data, not both"
+
+
+def test_verify_morse_b_zero_rejects_rho0(tmp_path, capsys):
+    # the reduced well is compared at rho0 = 0, so --rho0 1 would go unchecked
+    args = ["verify", *MORSE_REDUCED_ARGS, "--rho0", "1", "--n", "2", "--out", str(tmp_path)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError"
+    assert err["message"] == "verify on the morse b = 0 slice takes rho0 = 0, got 1.0"
+    assert not (tmp_path / "verify.json").exists()
+
+
+# (command, flags, config file or None): every one exits 2 with one JSON record
+MALFORMED = {
+    "n_not_a_number": ("spectrum", [], {"n": "abc"}),
+    "tol_not_a_number": ("verify", [], {"tol": "x"}),
+    "profile_not_a_section": ("spectrum", [], {"profile": "constant"}),
+    "family_not_a_section": ("spectrum", [], {"family": [1, 2]}),
+    "unknown_family_key": ("spectrum", [], {"family": {"tag": "ho", "sigmaa": 1}}),
+    "n_fraction_in_file": ("spectrum", [], {"n": 3.7}),
+    "n_fraction_flag": ("spectrum", ["--n", "3.7"], None),
+    "a_not_a_number_flag": ("spectrum", ["--a", "x"], None),
+    "unknown_sweep_key": ("sweep", [], {"family": {"tag": "ho"}, "sweep": {"nn": [3]}}),
+    "unknown_sweep_family_key": (
+        "sweep", [], {"family": {"tag": "ho"}, "sweep": {"family.sigmaa": [1.0]}}),
+    "dead_profile_flags": ("spectrum", ["--profile", "constant", "--alpha", "3", "--beta", "9"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, name):
+    command, flags, config = MALFORMED[name]
+    args = [command, "--family", "ho", *flags, "--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)  # one JSON document and nothing else
+    assert err["error_type"] == "ConfigError"
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_bad_sweep_value_is_that_points_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"tag": "ho"}, "sweep": {"family.a": ["x", 2.0]}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["error", "ok"]
+    assert points[0]["error"] == {
+        "type": "ConfigError", "message": "'family.a' takes a value of type float, got 'x'"}
+
+
+def test_flags_config_and_sweep_set_the_same_model(tmp_path):
+    flags = [
+        *ASINH_ARGS, "--family", "morse", "--a=-1", "--b", "1", "--lambda0", "1",
+        "--sigma0", "2.5", "--x-lo=-4", "--x-hi", "5", "--n-points", "201", "--n", "4",
+    ]
+    section = {
+        "profile": {"name": "asinh_mu", "m0": 0.5, "alpha": 0.5},
+        "family": {"tag": "morse", "a": -1, "b": 1, "lambda0": 1},
+        "grid": {"x_lo": -4, "x_hi": 5, "n_points": 201},
+    }
+    by_file, by_sweep = tmp_path / "file.json", tmp_path / "sweep.json"
+    by_file.write_text(json.dumps({**section, "family": {**section["family"], "sigma0": 2.5}, "n": 4}))
+    # a whole-number float for an int key is that int, on every path
+    by_sweep.write_text(json.dumps({
+        **section, "outputs": ["spectrum", "potential"],
+        "sweep": {"family.sigma0": [2.5], "n": [4.0]},
+    }))
+    dirs = [tmp_path / "flags", tmp_path / "file", tmp_path / "sweep" / "point_0000"]
+    for command in ("spectrum", "potential"):
+        assert main([command, *flags, "--out", str(dirs[0])]) == 0
+        assert main([command, "--config", str(by_file), "--out", str(dirs[1])]) == 0
+    assert main(["sweep", "--config", str(by_sweep), "--out", str(tmp_path / "sweep")]) == 0
+    for artifact in ("spectrum.csv", "potential.csv"):
+        assert read(dirs[0] / artifact) == read(dirs[1] / artifact) == read(dirs[2] / artifact)
+
+
+FLAGS = [
+    "--config", "--out", "--profile", "--m0", "--alpha", "--beta", "--table", "--x-ref",
+    "--family", "--a", "--b", "--c", "--lambda0", "--sigma0", "--rho0", "--l", "--ze2",
+    "--x-lo", "--x-hi", "--n-points", "--n", "--tol",
+]
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "potential", "groundstate", "verify", "shapecheck", "sweep"])
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    words = capsys.readouterr().out.replace("[", " ").replace("]", " ").split()
+    assert set(FLAGS) <= set(words)
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     # refinement guard: a coarse grid cannot reach tol = 1e-9
     args = [

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import sip_effmass.verify as verify_module
+from sip_effmass.verify import MAX_LEVELS
 from sip_effmass import (
     ConfigError,
     FamilyCoeffs,
@@ -205,6 +206,23 @@ def test_compare_flags_degenerate_tables_as_diagnostic():
     report = compare(model, grid, 3)
     assert report["diagnostic_only"] is True
     assert all(f == "diagnostic" for f in report["flags"])
+
+
+def test_compare_caps_its_level_count():
+    # levels 0..n_levels must fit in the MAX_LEVELS one solve returns, or
+    # the report would list more algebraic levels than gaps and flags
+    model = FamilyModel(
+        family="ho",
+        coeffs=FamilyCoeffs(a=1.0),
+        params0=ParamTriple(1.0, 0.0, 0.0),
+        profile=PROFILE,
+        mumap=MUMAP,
+    )
+    grid = GridSpec(-8.0, 8.0, 2001)
+    with pytest.raises(ConfigError, match=f"must be <= {MAX_LEVELS - 1}, got 20"):
+        compare(model, grid, 20)
+    report = compare(model, grid, MAX_LEVELS - 1)
+    assert len(report["algebraic_levels"]) == len(report["gaps"]) == len(report["flags"])
 
 
 def test_refinement_guard_triggers_on_coarse_grids():
