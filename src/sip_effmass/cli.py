@@ -158,14 +158,22 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8 text
             raise ConfigError(f"unreadable config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
 
+    sweep_only = [name for name in ("sweep", "outputs") if name in raw]
+    if sweep_only and args.command != "sweep":
+        raise ConfigError(f"config {' and '.join(sweep_only)} read only by the sweep command")
     cfg = RunConfig(sweep=raw.pop("sweep", {}), outputs=raw.pop("outputs", ["spectrum"]))
     if not (isinstance(cfg.sweep, dict) and isinstance(cfg.outputs, list)):
         raise ConfigError("config 'sweep' must be a JSON object and 'outputs' a list")
+    unknown = [o for o in cfg.outputs if not isinstance(o, str) or o not in _RUNNERS]
+    if unknown:
+        raise ConfigError(f"unknown sweep output(s) {unknown!r}; known: {', '.join(_RUNNERS)}")
+    if not cfg.outputs:
+        raise ConfigError("sweep needs at least one output kind in 'outputs'")
     for name, value in raw.items():
         if name not in ("profile", "family", "grid"):
             _apply_override(cfg, name, value)
@@ -355,9 +363,6 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
             raise ConfigError(f"sweep values for '{key}' must be a list")
         ranges.append(list(vals))
     points = list(itertools.product(*ranges))
-    outputs = [o for o in cfg.outputs if o in _RUNNERS]
-    if not outputs:
-        raise ConfigError("sweep needs at least one output kind in 'outputs'")
 
     entries = []
     for index, values in enumerate(points):
@@ -378,7 +383,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
             for key, value in zip(keys, values):
                 _apply_override(local, key, value)
             sub.mkdir(parents=True, exist_ok=True)
-            for kind in outputs:
+            for kind in cfg.outputs:
                 _RUNNERS[kind](local, sub)
             entry["status"] = "ok"
         except SipEffmassError as exc:

@@ -32,12 +32,14 @@ vanishing of the four non-constant coefficients, with R = c0.
 
 A model carries one of two recursion branches:
 
-* ``"alternating"`` (the default): the pole coefficient rho flips sign
-  at every step (rho -> -(rho + const)).  Its partner difference is
-  constant in x only on narrow slices (sigma0 = rho0 = 0 for ``ho``,
-  b = sigma0 = rho0 = 0 for the quadratic families, never for ``morse``
-  or ``coulomb``), and its remainder R = c0 + 2 A rho_k is formal off
-  them.  The golden spectra and the CLI artifacts are defined on it.
+* ``"alternating"`` (the default), the paper's printed recursion: the
+  pole coefficient rho flips sign at every step (rho -> -(rho + const)).
+  Its partner difference is constant in x only on narrow slices
+  (sigma0 = rho0 = 0 for ``ho``, b = sigma0 = rho0 = 0 for the quadratic
+  families, never for ``morse`` or ``coulomb``), and its remainder
+  R = c0 + 2 A rho_k is formal off them: for ``morse`` a = -1, b = 1,
+  p0 = (1, 2.5, 0) its levels are 0, 8, 10, 14, but V1 has no bound
+  state.  The golden spectra and the CLI artifacts are defined on it.
 * ``"shift"``: lam -> lam + A, rho -> rho - C (rho stays 0 on a chain
   whose params0 has rho = 0) and sigma solves c1 = 0, so
   c2 = c1 = c_2 = 0 at every step.  This is the standard

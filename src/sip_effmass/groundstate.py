@@ -44,16 +44,13 @@ class WavefunctionTable:
 
     x: NDArray
     psi: NDArray
-    normalization: float
-    method: str  # "generic" | "closed_form"
-    model: FamilyModel
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.psi)):
             raise NumericalError("wavefunction samples are not finite")
 
 
-def _normalize(x: NDArray, raw: NDArray) -> tuple[NDArray, float]:
+def _normalize(x: NDArray, raw: NDArray) -> NDArray:
     peak = float(np.max(np.abs(raw)))
     if peak == 0.0 or not math.isfinite(peak):
         raise NumericalError("wavefunction vanished or overflowed before normalization")
@@ -68,8 +65,7 @@ def _normalize(x: NDArray, raw: NDArray) -> tuple[NDArray, float]:
     norm2 = float(_trapezoid(scaled * scaled, x))
     if norm2 <= 0.0 or not math.isfinite(norm2):
         raise NumericalError("wavefunction norm is not finite and positive")
-    factor = 1.0 / math.sqrt(norm2)
-    return scaled * factor, factor / peak
+    return scaled * (1.0 / math.sqrt(norm2))
 
 
 def psi0_generic(
@@ -90,9 +86,7 @@ def _psi0_generic(model: FamilyModel, grid, params: Optional[ParamTriple] = None
     integral = _cumulative_gl(lambda m: model.fields_of_mu(m, params).weff, mu)
     u = np.asarray(model.profile.u(x), dtype=float)
     raw = np.exp(-(integral - np.min(integral))) / np.sqrt(u)
-    psi, norm = _normalize(x, raw)
-    table = WavefunctionTable(x=x, psi=psi, normalization=norm, method="generic", model=model)
-    return table, mu, u
+    return WavefunctionTable(x=x, psi=_normalize(x, raw)), mu, u
 
 
 def psi0_closed(model: FamilyModel, x):
@@ -169,11 +163,7 @@ def psi0_closed(model: FamilyModel, x):
 def psi0_closed_table(model: FamilyModel, grid) -> WavefunctionTable:
     """Normalized closed-form zero mode on a grid."""
     x = np.asarray(grid, dtype=float)
-    raw = psi0_closed(model, x)
-    psi, norm = _normalize(x, np.asarray(raw))
-    return WavefunctionTable(
-        x=x, psi=psi, normalization=norm, method="closed_form", model=model
-    )
+    return WavefunctionTable(x=x, psi=_normalize(x, np.asarray(psi0_closed(model, x))))
 
 
 def annihilation_residual(

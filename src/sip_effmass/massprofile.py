@@ -13,7 +13,7 @@ shape in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,28 +28,26 @@ REGISTRY_NAMES = ("constant", "exp_mass", "asinh_mu", "arctan_mu", "tabulated")
 
 @dataclass(frozen=True)
 class MassProfile:
-    """U(x) and its first two derivatives on an interval.
+    """U(x) and its first two derivatives on an interval, with the map mu.
 
-    ``mu_closed``, when present, is the closed-form deformation
-    coordinate anchored at ``default_ref`` (which may be -inf for
-    profiles whose natural anchor is the left asymptote), and
-    ``mu_closed_inverse`` is its inverse.  ``mu_limits`` are the
-    limits of that closed form at the domain edges.  A profile without
-    a closed form gives ``knots`` instead: sorted points spanning the
-    finite domain, between which U is smooth.
+    ``mu_closed`` is the deformation coordinate up to a constant shift,
+    ``mu_closed_inverse`` its inverse, and ``mu_limits`` its limits at
+    the domain edges; ``default_ref`` is the natural anchor (-inf for
+    profiles anchored at the left asymptote).  The analytic profiles
+    give mu in closed form; ``tabulated`` builds it by quadrature on its
+    ``knots``, the sorted table points between which U is smooth.
     """
 
     name: str
-    params: dict
     x_lo: float
     x_hi: float
     u: Callable[[NDArray], NDArray]
     du: Callable[[NDArray], NDArray]
     d2u: Callable[[NDArray], NDArray]
-    mu_closed: Optional[Callable[[NDArray], NDArray]] = None
-    mu_closed_inverse: Optional[Callable[[NDArray], NDArray]] = None
-    default_ref: float = 0.0
-    mu_limits: Optional[tuple] = None
+    mu_closed: Callable[[NDArray], NDArray]
+    mu_closed_inverse: Callable[[NDArray], NDArray]
+    default_ref: float
+    mu_limits: tuple
     knots: Optional[NDArray] = None
 
 
@@ -75,7 +73,6 @@ def _constant(params: dict) -> MassProfile:
 
     return MassProfile(
         name="constant",
-        params={"m0": m0},
         x_lo=-math.inf,
         x_hi=math.inf,
         u=u,
@@ -106,7 +103,6 @@ def _exp_mass(params: dict) -> MassProfile:
 
     return MassProfile(
         name="exp_mass",
-        params={"m0": m0, "beta": beta},
         x_lo=-math.inf,
         x_hi=math.inf,
         u=u,
@@ -139,7 +135,6 @@ def _asinh_mu(params: dict) -> MassProfile:
 
     return MassProfile(
         name="asinh_mu",
-        params={"m0": m0, "alpha": alpha},
         x_lo=-math.inf,
         x_hi=math.inf,
         u=u,
@@ -174,7 +169,6 @@ def _arctan_mu(params: dict) -> MassProfile:
     half = s * (math.pi / 2.0) / alpha
     return MassProfile(
         name="arctan_mu",
-        params={"m0": m0, "alpha": alpha},
         x_lo=-math.inf,
         x_hi=math.inf,
         u=u,
@@ -188,23 +182,27 @@ def _arctan_mu(params: dict) -> MassProfile:
 
 
 def _parse_table(path: str) -> list:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"unreadable table file: {exc}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip().lower() for c in line.split(",")]
-                if cols != ["x", "m"]:
-                    raise ConfigError(f"tabulated profile header must be 'x,m', got {line!r}")
-                header_seen = True
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"malformed table row: {line!r}") from exc
+    header_seen = False
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            cols = [c.strip().lower() for c in line.split(",")]
+            if cols != ["x", "m"]:
+                raise ConfigError(f"tabulated profile header must be 'x,m', got {line!r}")
+            header_seen = True
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"malformed table row: {line!r}") from exc
     if not header_seen:
         raise ConfigError("tabulated profile file has no 'x,m' header")
     return rows
@@ -262,71 +260,6 @@ def _pchip(x: NDArray, y: NDArray) -> tuple:
     return piecewise(c3, c2, c1, c0), piecewise(c2, 2 * c1, 3 * c0), piecewise(2 * c1, 6 * c0)
 
 
-def _tabulated(params: dict) -> MassProfile:
-    if "data" in params:
-        rows = params["data"]
-    elif "path" in params:
-        rows = _parse_table(str(params["path"]))
-    else:
-        raise ConfigError("tabulated profile requires 'path' or 'data'")
-    try:
-        data = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tabulated profile data is not a numeric table: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
-        raise ConfigError(f"tabulated profile needs 4 or more rows (x, m), got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise ConfigError("tabulated profile values must be finite")
-    x, m = data[:, 0], data[:, 1]
-    if np.any(np.diff(x) <= 0):
-        raise ConfigError("tabulated profile x values must be strictly increasing")
-    if np.any(m <= 0):
-        raise ConfigError("tabulated profile mass values must be positive")
-
-    # Monotone cubic interpolation of U itself keeps U positive and
-    # avoids derivative overshoot near steep mass gradients.
-    u, du, d2u = _pchip(x, 1.0 / np.sqrt(2.0 * m))
-
-    return MassProfile(
-        name="tabulated",
-        params={"x": x, "m": m},
-        x_lo=float(x[0]),
-        x_hi=float(x[-1]),
-        u=u,
-        du=du,
-        d2u=d2u,
-        default_ref=float(x[0]),
-        knots=x,
-    )
-
-
-_BUILDERS = {
-    "constant": _constant,
-    "exp_mass": _exp_mass,
-    "asinh_mu": _asinh_mu,
-    "arctan_mu": _arctan_mu,
-    "tabulated": _tabulated,
-}
-
-
-def registry_get(name: str, **params) -> MassProfile:
-    """Build a profile from the built-in registry.
-
-    Args:
-        name: one of ``constant``, ``exp_mass``, ``asinh_mu``,
-            ``arctan_mu``, ``tabulated``.
-        **params: profile parameters (``m0``, ``alpha``, ``beta``, or
-            ``path``/``data`` for tabulated samples).
-    """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown profile '{name}'; available: {', '.join(REGISTRY_NAMES)}"
-        ) from None
-    return builder(params)
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 # Knot-grid halvings allowed before a tabulated mu is declared unresolved;
@@ -373,15 +306,113 @@ def _resolved_cumulative(inv_u, knots: NDArray) -> tuple[NDArray, NDArray]:
     )
 
 
+def _tabulated(params: dict) -> MassProfile:
+    if "data" in params:
+        rows = params["data"]
+    elif "path" in params:
+        rows = _parse_table(str(params["path"]))
+    else:
+        raise ConfigError("tabulated profile requires 'path' or 'data'")
+    try:
+        data = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tabulated profile data is not a numeric table: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
+        raise ConfigError(f"tabulated profile needs 4 or more rows (x, m), got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("tabulated profile values must be finite")
+    x, m = data[:, 0], data[:, 1]
+    if np.any(np.diff(x) <= 0):
+        raise ConfigError("tabulated profile x values must be strictly increasing")
+    if np.any(m <= 0):
+        raise ConfigError("tabulated profile mass values must be positive")
+
+    # Monotone cubic interpolation of U itself keeps U positive and
+    # avoids derivative overshoot near steep mass gradients.
+    u, du, d2u = _pchip(x, 1.0 / np.sqrt(2.0 * m))
+
+    def inv_u(z):
+        return 1.0 / np.asarray(u(z), dtype=float)
+
+    nodes, cum = _resolved_cumulative(inv_u, x)
+
+    def mu_closed(z):
+        """mu from x[0]: the cumulative value at the left node plus one Gauss pass."""
+        z = np.atleast_1d(z)
+        j = np.clip(np.searchsorted(nodes, z, side="right") - 1, 0, nodes.size - 2)
+        return cum[j] + _gauss_legendre(inv_u, nodes[j], z)
+
+    def mu_closed_inverse(t):
+        """Bracketing on the cumulative values, then safeguarded Newton."""
+        j = min(max(int(np.searchsorted(cum, t)), 1), cum.size - 1)
+        za, zb = float(nodes[j - 1]), float(nodes[j])
+        z = za + (zb - za) * (t - cum[j - 1]) / (cum[j] - cum[j - 1])
+        ftol = 1e-14 * max(1.0, abs(t))
+        for _ in range(100):
+            f = float(mu_closed(np.asarray(z))[0]) - t
+            if abs(f) <= ftol:
+                return z
+            if f > 0:
+                zb = z
+            else:
+                za = z
+            zn = z - f * float(u(z))  # Newton: mu' = 1/U
+            if not (za < zn < zb):
+                zn = 0.5 * (za + zb)
+            if zn == z:
+                return z
+            z = zn
+        raise NumericalError(f"mu_inverse failed to converge on [{za}, {zb}]")
+
+    return MassProfile(
+        name="tabulated",
+        x_lo=float(x[0]),
+        x_hi=float(x[-1]),
+        u=u,
+        du=du,
+        d2u=d2u,
+        mu_closed=mu_closed,
+        mu_closed_inverse=mu_closed_inverse,
+        default_ref=float(x[0]),
+        mu_limits=(0.0, float(cum[-1])),
+        knots=x,
+    )
+
+
+_BUILDERS = {
+    "constant": _constant,
+    "exp_mass": _exp_mass,
+    "asinh_mu": _asinh_mu,
+    "arctan_mu": _arctan_mu,
+    "tabulated": _tabulated,
+}
+
+
+def registry_get(name: str, **params) -> MassProfile:
+    """Build a profile from the built-in registry.
+
+    Args:
+        name: one of ``constant``, ``exp_mass``, ``asinh_mu``,
+            ``arctan_mu``, ``tabulated``.
+        **params: profile parameters (``m0``, ``alpha``, ``beta``, or
+            ``path``/``data`` for tabulated samples).
+    """
+    try:
+        builder = _BUILDERS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown profile '{name}'; available: {', '.join(REGISTRY_NAMES)}"
+        ) from None
+    return builder(params)
+
+
 class MuMap:
     """The deformation coordinate mu(x) with forward and inverse evaluation.
 
     Immutable after construction.  mu(x_ref) = 0.  For profiles anchored
     at -inf (exponential mass) ``x_ref`` defaults to that limit and mu
-    maps onto (0, inf).  Profiles with ``mu_closed`` are evaluated and
-    inverted in closed form; knot profiles (``tabulated``) by 7-point
-    Gauss-Legendre on the resolved knot grid, inverted by bracketing on
-    the cumulative values plus safeguarded Newton.
+    maps onto (0, inf).  The map is the profile's own ``mu_closed`` and
+    ``mu_closed_inverse``, shifted so that it vanishes at ``x_ref``.
     """
 
     def __init__(self, profile: MassProfile, x_ref: Optional[float] = None):
@@ -389,31 +420,12 @@ class MuMap:
         self.x_ref = profile.default_ref if x_ref is None else float(x_ref)
         if not (profile.x_lo <= self.x_ref <= profile.x_hi):
             raise DomainError(f"x_ref={self.x_ref} outside profile domain")
-        if profile.mu_closed is not None and profile.mu_closed_inverse is not None:
-            self._forward, self._backward = profile.mu_closed, profile.mu_closed_inverse
-            lo, hi = profile.mu_limits
-        elif profile.knots is not None:
-            self._nodes, self._cum = _resolved_cumulative(self._inv_u, profile.knots)
-            self._forward, self._backward = self._forward_knots, self._inverse_knots
-            lo, hi = 0.0, float(self._cum[-1])
-        else:
-            raise ConfigError(
-                f"profile '{profile.name}' has neither a closed-form mu with its inverse nor knots"
-            )
         with np.errstate(over="ignore"):
-            self._shift = float(self._forward(np.atleast_1d(self.x_ref))[0])
+            self._shift = float(profile.mu_closed(np.atleast_1d(self.x_ref))[0])
         if not math.isfinite(self._shift):
             raise NumericalError(f"mu diverges at x_ref={self.x_ref}")
+        lo, hi = profile.mu_limits
         self.mu_lo, self.mu_hi = lo - self._shift, hi - self._shift
-
-    def _inv_u(self, z: NDArray) -> NDArray:
-        return 1.0 / np.asarray(self.profile.u(z), dtype=float)
-
-    def _forward_knots(self, x: NDArray) -> NDArray:
-        """Unshifted mu on knot profiles: cumulative value at the left node plus one Gauss pass."""
-        x = np.atleast_1d(x)
-        j = np.clip(np.searchsorted(self._nodes, x, side="right") - 1, 0, self._nodes.size - 2)
-        return self._cum[j] + _gauss_legendre(self._inv_u, self._nodes[j], x)
 
     # -- forward ---------------------------------------------------------
 
@@ -430,7 +442,7 @@ class MuMap:
         xs = np.asarray(xs, dtype=float)
         self._check_domain(xs)
         with np.errstate(over="ignore"):
-            out = np.asarray(self._forward(xs) - self._shift).reshape(xs.shape)
+            out = np.asarray(self.profile.mu_closed(xs) - self._shift).reshape(xs.shape)
         if not np.all(np.isfinite(out)):
             raise NumericalError("mu is not finite on the requested points")
         return out
@@ -438,33 +450,11 @@ class MuMap:
     # -- inverse ---------------------------------------------------------
 
     def mu_inverse(self, m: float) -> float:
-        """Solve mu(x) = m: closed form, or bracketing plus safeguarded Newton on knots."""
+        """Solve mu(x) = m with the profile's inverse map."""
         m = float(m)
         if not (self.mu_lo <= m <= self.mu_hi):
             raise DomainError(
                 f"target {m} outside mu range ({self.mu_lo}, {self.mu_hi})"
             )
         with np.errstate(divide="ignore", over="ignore"):
-            return float(self._backward(m + self._shift))
-
-    def _inverse_knots(self, t: float) -> float:
-        nodes, cum = self._nodes, self._cum
-        j = min(max(int(np.searchsorted(cum, t)), 1), cum.size - 1)
-        xa, xb = float(nodes[j - 1]), float(nodes[j])
-        x = xa + (xb - xa) * (t - cum[j - 1]) / (cum[j] - cum[j - 1])
-        ftol = 1e-14 * max(1.0, abs(t))
-        for _ in range(100):
-            f = float(self._forward_knots(np.asarray(x))[0]) - t
-            if abs(f) <= ftol:
-                return x
-            if f > 0:
-                xb = x
-            else:
-                xa = x
-            xn = x - f * float(self.profile.u(x))  # Newton: mu' = 1/U
-            if not (xa < xn < xb):
-                xn = 0.5 * (xa + xb)
-            if xn == x:
-                return x
-            x = xn
-        raise NumericalError(f"mu_inverse failed to converge on [{xa}, {xb}]")
+            return float(self.profile.mu_closed_inverse(m + self._shift))

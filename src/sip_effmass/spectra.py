@@ -7,6 +7,11 @@ Two independent engines are provided and cross-checked:
 * ``spectrum_closed`` evaluates the closed form, one per recursion
   branch, obtained by telescoping the same sums.
 
+On the alternating branch, the paper's printed recursion, the tables
+are the printed spectra and need not be those of V1: for ``morse``
+a = -1, b = 1, p0 = (1, 2.5, 0) they list 0, 8, 10, 14, but V1 has no
+bound state.
+
 On the alternating branch the degenerate-quadratic (Coulomb-like)
 family keeps its own pair of operations, ``coulomb_spectrum_sum`` and
 ``coulomb_closed_level``: its chain is restricted to even recursion
@@ -17,11 +22,11 @@ and Z e^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ValidationError
-from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
+from .families import FamilyModel, canonical_family
 
 __all__ = [
     "SpectrumTable",
@@ -41,14 +46,10 @@ MAX_TABLE_LEVELS = 100_000
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Levels E_0..E_n with method provenance."""
+    """Levels E_0..E_n with their flags."""
 
     levels: tuple  # of (n, E)
-    method: str  # "partial_sum" | "closed_form"
-    family: str
-    coeffs: Optional[FamilyCoeffs] = None
-    params0: Optional[ParamTriple] = None
-    flags: dict = field(default_factory=dict)
+    flags: dict
     branch: Optional[str] = None  # recursion branch of the FamilyModel, if any
 
     @property
@@ -68,15 +69,9 @@ def _monotone_flags(energies: list[float]) -> dict:
     return flags
 
 
-def _model_table(model: FamilyModel, energies: list[float], method: str) -> SpectrumTable:
+def _model_table(model: FamilyModel, energies: list[float]) -> SpectrumTable:
     return SpectrumTable(
-        levels=tuple(enumerate(energies)),
-        method=method,
-        family=model.family,
-        coeffs=model.coeffs,
-        params0=model.params0,
-        flags=_monotone_flags(energies),
-        branch=model.branch,
+        levels=tuple(enumerate(energies)), flags=_monotone_flags(energies), branch=model.branch
     )
 
 
@@ -87,7 +82,7 @@ def spectrum_sum(model: FamilyModel, n_max: int) -> SpectrumTable:
     energies = [0.0]
     for pk, p1 in zip(chain, chain[1:]):
         energies.append(energies[-1] + model.remainder_R(pk, p1))
-    return _model_table(model, energies, "partial_sum")
+    return _model_table(model, energies)
 
 
 def _closed_level(model: FamilyModel, n: int) -> float:
@@ -126,7 +121,7 @@ def spectrum_closed(model: FamilyModel, n_max: int) -> SpectrumTable:
     """
     _check_n_max(n_max)
     energies = [0.0] + [_closed_level(model, n) for n in range(1, n_max + 1)]
-    return _model_table(model, energies, "closed_form")
+    return _model_table(model, energies)
 
 
 def pt_reduced_spectrum(
@@ -154,15 +149,7 @@ def pt_reduced_spectrum(
         else:
             raise ConfigError("pt_reduced_spectrum applies to pt_trig/pt_hyp only")
         energies.append(e)
-    c = 1.0 / a if family == "pt_trig" else -1.0 / a
-    return SpectrumTable(
-        levels=tuple(enumerate(energies)),
-        method="closed_form",
-        family=family,
-        coeffs=FamilyCoeffs(a=a, b=0.0, c=c),
-        params0=ParamTriple(lam=lambda0, sigma=0.0, rho=rho0),
-        flags=_monotone_flags(energies),
-    )
+    return SpectrumTable(levels=tuple(enumerate(energies)), flags=_monotone_flags(energies))
 
 
 def morse_reduced_spectrum(a: float, sigma0: float, n_max: int) -> SpectrumTable:
@@ -181,13 +168,7 @@ def morse_reduced_spectrum(a: float, sigma0: float, n_max: int) -> SpectrumTable
     energies = [sigma0 * sigma0 - (sigma0 + a * n) ** 2 for n in range(n_max + 1)]
     bound = [n < sigma0 / abs(a) for n in range(n_max + 1)]
     return SpectrumTable(
-        levels=tuple(enumerate(energies)),
-        method="closed_form",
-        family="morse",
-        coeffs=FamilyCoeffs(a=a, b=0.0, c=0.0),
-        # the closed levels do not depend on lambda0 on this slice
-        params0=ParamTriple(lam=0.0, sigma=sigma0, rho=0.0),
-        flags={"bound": bound, **_monotone_flags(energies)},
+        levels=tuple(enumerate(energies)), flags={"bound": bound, **_monotone_flags(energies)}
     )
 
 
@@ -223,7 +204,7 @@ def coulomb_spectrum_sum(model: FamilyModel, n_cap: int) -> SpectrumTable:
         # remainder at even chain index 2p, where the pole coefficient vanishes
         acc += -(b * b * (2 * p) + ze2 * b / (l + 1.0))
         energies.append(acc)
-    return _model_table(model, energies, "partial_sum")
+    return _model_table(model, energies)
 
 
 def coulomb_spectrum_nr(l: int, n_r: int, mode: str = "exact", *, z: float = 1.0):

@@ -93,7 +93,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridEigenResult:
-    grid: GridSpec
+    grid: Optional[GridSpec]  # the grid the matrix was discretized on, if given
     eigenvalues: NDArray  # sorted ascending
     residuals: NDArray  # per eigenpair ||H v - e v|| / ||v||
 
@@ -184,8 +184,7 @@ def lowest_eigenvalues(
             v = solve_banded((1, 1), ab, v)
             v /= np.linalg.norm(v)
         residuals[j] = float(np.linalg.norm(_tridiag_matvec(diag, off, v) - eigs[j] * v))
-    result_grid = grid if grid is not None else GridSpec(0.0, 1.0, n + 2)
-    return GridEigenResult(grid=result_grid, eigenvalues=eigs, residuals=residuals)
+    return GridEigenResult(grid=grid, eigenvalues=eigs, residuals=residuals)
 
 
 def rayleigh_quotient(diag: NDArray, off: NDArray, v: NDArray) -> float:

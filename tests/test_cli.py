@@ -323,6 +323,15 @@ MALFORMED = {
     "unknown_sweep_family_key": (
         "sweep", [], {"family": {"tag": "ho"}, "sweep": {"family.sigmaa": [1.0]}}),
     "dead_profile_flags": ("spectrum", ["--profile", "constant", "--alpha", "3", "--beta", "9"], None),
+    "n_zero": ("spectrum", ["--n", "0"], None),
+    "config_not_an_object": ("spectrum", [], [{"family": {"tag": "ho"}}]),
+    "sweep_not_an_object": ("sweep", [], {"sweep": []}),
+    "sweep_values_not_a_list": ("sweep", [], {"sweep": {"n": 3}}),
+    "sweep_on_spectrum": ("spectrum", [], {"family": {"tag": "ho"}, "sweep": {"nn": [1]}}),
+    "outputs_on_spectrum": ("spectrum", [], {"outputs": ["spectrum"]}),
+    "unknown_output": ("sweep", [], {"outputs": ["spectrum", "potentail"], "sweep": {"n": [3]}}),
+    "unknown_output_empty_sweep": ("sweep", [], {"outputs": ["potentail"]}),
+    "missing_table": ("spectrum", ["--profile", "tabulated", "--table", "no-such-table.csv"], None),
 }
 
 
@@ -337,6 +346,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, name):
     assert main(args) == 2
     err = json.loads(capsys.readouterr().err)  # one JSON document and nothing else
     assert err["error_type"] == "ConfigError"
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "flag,data,message",
+    [
+        ("--table", b"x,m\n0,1\n1,oops\n", "malformed table row"),
+        ("--table", b"0,1\n1,1\n", "header must be 'x,m'"),
+        ("--table", b"# only a comment\n", "no 'x,m' header"),
+        ("--table", b"x,m\n\xd0\xff,1\n", "unreadable table file"),
+        ("--config", b'{"n": "\xd0\xff"}', "unreadable config file"),
+    ],
+    ids=["malformed_row", "data_before_header", "no_header", "table_not_utf8", "config_not_utf8"],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, flag, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    args = ["spectrum", "--family", "ho", "--profile", "tabulated", flag, str(path)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConfigError" and message in err["message"]
     assert not any((tmp_path / "out").glob("*"))
 
 

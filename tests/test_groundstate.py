@@ -133,9 +133,7 @@ def test_annihilation_negative_control(const_cases):
     bent = table.psi * (1.0 + 0.01 * grid)
     from sip_effmass.groundstate import WavefunctionTable
 
-    fake = WavefunctionTable(
-        x=grid, psi=bent, normalization=1.0, method="closed_form", model=model
-    )
+    fake = WavefunctionTable(x=grid, psi=bent)
     assert annihilation_residual(model, fake) > 1e-3
 
 
@@ -192,8 +190,6 @@ def test_residual_requires_uniform_grid(const_cases):
     from sip_effmass.groundstate import WavefunctionTable
 
     squished = np.concatenate([grid[:600], grid[600:] * 1.001])
-    fake = WavefunctionTable(
-        x=squished, psi=table.psi, normalization=1.0, method="closed_form", model=model
-    )
+    fake = WavefunctionTable(x=squished, psi=table.psi)
     with pytest.raises(ConfigError):
         annihilation_residual(model, fake)

@@ -120,6 +120,14 @@ def test_lowest_eigenvalues_argument_checks():
         lowest_eigenvalues(np.ones(5), np.zeros(4), 5)
 
 
+def test_lowest_eigenvalues_without_a_grid():
+    # a bare matrix of any size: the 20-point second difference, 2 - 2 cos(j pi / 21)
+    res = lowest_eigenvalues(np.full(20, 2.0), np.full(19, -1.0), 3)
+    expect = 2.0 - 2.0 * np.cos(np.arange(1, 4) * math.pi / 21.0)
+    assert np.max(np.abs(res.eigenvalues - expect)) <= 1e-12
+    assert res.grid is None
+
+
 def test_lapack_failure_is_numerical_error(monkeypatch):
     def fail(*args, **kwargs):
         raise LinAlgError("stebz did not converge")
@@ -206,6 +214,23 @@ def test_compare_flags_degenerate_tables_as_diagnostic():
     report = compare(model, grid, 3)
     assert report["diagnostic_only"] is True
     assert all(f == "diagnostic" for f in report["flags"])
+
+
+def test_compare_flags_mismatched_levels():
+    # the alternating table 0, 3, 4, 7 is monotone and not degenerate, but the
+    # half-line oscillator's gaps are 0, 4, 8, 12: the table is formal off its slice
+    model = FamilyModel(
+        family="ho",
+        coeffs=FamilyCoeffs(a=1.0),
+        params0=ParamTriple(1.0, 0.0, -0.25),
+        profile=PROFILE,
+        mumap=MUMAP,
+        branch="alternating",
+    )
+    report = compare(model, GridSpec(0.0, 8.0, 4001), 3)
+    assert report["algebraic_levels"] == [0.0, 3.0, 4.0, 7.0]
+    assert report["flags"] == ["match", "mismatch", "mismatch", "mismatch"]
+    assert report["diagnostic_only"] is False
 
 
 def test_compare_caps_its_level_count():
