@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, SipEffmassError, ValidationError
 from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 from .groundstate import _annihilation_pointwise, _psi0_generic
-from .massprofile import MassProfile, MuMap, registry_get
+from .massprofile import MuMap, registry_get
 from .spectra import coulomb_closed_level, coulomb_spectrum_sum, spectrum_closed, spectrum_sum
 from .verify import GridSpec, _check_level_count, compare, morse_reduced_compare
 
@@ -190,47 +190,34 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-# keys that cannot take effect, by family or profile name: coulomb derives
-# (c, lambda0, sigma0, rho0) from (a, b, l, ze2), ho and morse have no c, and
-# each profile reads only its own shape keys
+# family keys that cannot take effect: coulomb derives (c, lambda0, sigma0,
+# rho0) from (a, b, l, ze2), and ho and morse have no c.  The profile
+# builders name their own keys (registry_get rejects the others).
 _DEAD_KEYS = {
     "coulomb": ("c", "lambda0", "sigma0", "rho0"),
     "ho": ("c", "l", "ze2"),
     "morse": ("c", "l", "ze2"),
     "pt_trig": ("l", "ze2"),
     "pt_hyp": ("l", "ze2"),
-    "constant": ("alpha", "beta", "path", "data"),
-    "exp_mass": ("alpha", "path", "data"),
-    "asinh_mu": ("beta", "path", "data"),
-    "arctan_mu": ("beta", "path", "data"),
-    "tabulated": ("m0", "alpha", "beta"),
 }
 
 
-def _reject_dead_keys(kind: str, name: str, section: dict):
-    dead = [key for key in _DEAD_KEYS.get(name, ()) if key in section]
-    if dead:
-        raise ConfigError(f"{kind} '{name}' does not take {', '.join(dead)}")
-
-
-def build_profile(cfg: RunConfig) -> tuple[MassProfile, MuMap]:
+def build_profile(cfg: RunConfig) -> MuMap:
+    """The configured profile's mu map; the profile is ``mumap.profile``."""
     pcfg = dict(cfg.profile)
     name = pcfg.pop("name", "constant")
     x_ref = pcfg.pop("x_ref", None)
-    _reject_dead_keys("profile", name, pcfg)
-    if name == "tabulated" and "path" in pcfg and "data" in pcfg:
-        raise ConfigError("profile 'tabulated' takes path or data, not both")
-    pcfg.setdefault("m0", 0.5)
-    profile = registry_get(name, **pcfg)
-    mumap = MuMap(profile, x_ref=x_ref)
-    return profile, mumap
+    return MuMap(registry_get(name, **pcfg), x_ref=x_ref)
 
 
-def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyModel:
+def build_model(cfg: RunConfig) -> FamilyModel:
+    mumap = build_profile(cfg)
     fcfg = cfg.family
     # 'tag' and 'name' are synonyms
     tag = canonical_family(fcfg.get("tag", fcfg.get("name", "")))
-    _reject_dead_keys("family", tag, fcfg)
+    dead = [key for key in _DEAD_KEYS[tag] if key in fcfg]
+    if dead:
+        raise ConfigError(f"family '{tag}' does not take {', '.join(dead)}")
     a = fcfg.get("a", 1.0)
     if tag == "coulomb":
         return FamilyModel.coulomb(
@@ -238,7 +225,7 @@ def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyMod
             b=fcfg.get("b", 1.0),
             l=fcfg.get("l", 0),
             ze2=fcfg.get("ze2", 1.0),
-            profile=profile,
+            profile=mumap.profile,
             mumap=mumap,
         )
     params0 = ParamTriple(
@@ -246,7 +233,7 @@ def build_model(cfg: RunConfig, profile: MassProfile, mumap: MuMap) -> FamilyMod
     )
     coeffs = FamilyCoeffs(a=a, b=fcfg.get("b", 0.0), c=fcfg.get("c", 0.0))
     return FamilyModel(
-        family=tag, coeffs=coeffs, params0=params0, profile=profile, mumap=mumap
+        family=tag, coeffs=coeffs, params0=params0, profile=mumap.profile, mumap=mumap
     )
 
 
@@ -259,11 +246,10 @@ def build_grid(cfg: RunConfig) -> GridSpec:
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path):
-    profile, mumap = build_profile(cfg)
     if cfg.n < 1:
         raise ConfigError("need at least one level (--n >= 1)")
     n_max = cfg.n - 1
-    model = build_model(cfg, profile, mumap)
+    model = build_model(cfg)
     if model.family == "coulomb":
         sums = coulomb_spectrum_sum(model, 2 * n_max)
         closed = [0.0] + [coulomb_closed_level(model, 2 * n) for n in range(1, n_max + 1)]
@@ -275,8 +261,7 @@ def run_spectrum(cfg: RunConfig, out_dir: Path):
 
 
 def run_potential(cfg: RunConfig, out_dir: Path):
-    profile, mumap = build_profile(cfg)
-    model = build_model(cfg, profile, mumap)
+    model = build_model(cfg)
     f = model.fields(build_grid(cfg).nodes())
     names = ["x", "mu", "W", "V1", "V2", "V1eff", "V2eff"]
     columns = [f.x, f.mu, f.w, f.v1, f.v2, f.v1_eff, f.v2_eff]
@@ -287,8 +272,7 @@ def run_potential(cfg: RunConfig, out_dir: Path):
 
 
 def run_groundstate(cfg: RunConfig, out_dir: Path):
-    profile, mumap = build_profile(cfg)
-    model = build_model(cfg, profile, mumap)
+    model = build_model(cfg)
     x = build_grid(cfg).nodes()
     table, mu, u = _psi0_generic(model, x)
     resid = np.full(x.size, float("nan"))
@@ -300,9 +284,8 @@ def run_groundstate(cfg: RunConfig, out_dir: Path):
 
 def run_verify(cfg: RunConfig, out_dir: Path):
     _check_level_count(cfg.n)
-    profile, mumap = build_profile(cfg)
+    model = build_model(cfg)
     grid = build_grid(cfg)
-    model = build_model(cfg, profile, mumap)
     if model.family == "morse" and model.coeffs.b == 0.0:
         # the reduced well is compared at rho0 = 0, so another rho0 is not checked
         if model.params0.rho != 0.0:
@@ -312,8 +295,8 @@ def run_verify(cfg: RunConfig, out_dir: Path):
         report = morse_reduced_compare(
             a=model.coeffs.a,
             sigma0=abs(model.params0.sigma),
-            profile=profile,
-            mumap=mumap,
+            profile=model.profile,
+            mumap=model.mumap,
             grid=grid,
             n_levels=cfg.n,
             lambda0=model.params0.lam,
@@ -325,8 +308,7 @@ def run_verify(cfg: RunConfig, out_dir: Path):
 
 
 def run_shapecheck(cfg: RunConfig, out_dir: Path):
-    profile, mumap = build_profile(cfg)
-    model = build_model(cfg, profile, mumap)
+    model = build_model(cfg)
     grid = build_grid(cfg)
     f = model.fields(grid.interior())
     residual = model.shape_invariance_residual_of_mu(f.mu)

@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError, PoleError, ValidationError
+from .errors import ConfigError, DomainError, PoleError, ValidationError
 from .massprofile import MassProfile, MuMap
 
 __all__ = [
@@ -79,25 +79,16 @@ __all__ = [
 FAMILIES = ("ho", "morse", "pt_trig", "pt_hyp", "coulomb")
 _BRANCHES = ("alternating", "shift")
 
-_ALIASES = {
-    "ho": "ho",
-    "morse": "morse",
-    "pt_trig": "pt_trig",
-    "pttrig": "pt_trig",
-    "pt_hyp": "pt_hyp",
-    "pthyp": "pt_hyp",
-    "coulomb": "coulomb",
-}
-
 PT_TAN_GUARD = 1e-6
 PHI_POLE_GUARD = 1e-12
 
 
 def canonical_family(tag: str) -> str:
+    """The entry of FAMILIES that tag names, ignoring case, edge spaces and '-' for '_'."""
     key = tag.strip().lower().replace("-", "_")
-    if key not in _ALIASES:
-        raise ValidationError([f"unknown family '{tag}'"])
-    return _ALIASES[key]
+    if key not in FAMILIES:
+        raise ConfigError(f"unknown family '{tag}'; available: {', '.join(FAMILIES)}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -219,7 +210,8 @@ class Fields:
 class FamilyModel:
     """A family tag, coefficients, starting parameters, and a mass profile.
 
-    Immutable; all evaluation methods are pure.  For the Coulomb family
+    Immutable; all evaluation methods are pure.  ``mumap`` must be the
+    map of this ``profile`` object.  For the Coulomb family
     use :meth:`coulomb`, which derives (lam0, sigma0) from the angular
     momentum l and the coupling Z e^2; they cannot be set independently,
     and the coulomb operations of :mod:`sip_effmass.spectra` read b, l and
@@ -242,6 +234,8 @@ class FamilyModel:
         object.__setattr__(self, "family", canonical_family(self.family))
         if self.branch not in _BRANCHES:
             raise ValidationError([f"unknown branch '{self.branch}'"])
+        if self.mumap.profile is not self.profile:
+            raise ValidationError(["mumap is built on another profile"])
         violations = validate(self.family, self.coeffs, self.params0)
         if violations:
             raise ValidationError(violations)
@@ -387,9 +381,9 @@ class FamilyModel:
             d2u=np.atleast_1d(np.asarray(self.profile.d2u(x), dtype=float)),
         )
 
-    def potential_V1(self, x, params: Optional[ParamTriple] = None) -> NDArray:
+    def potential_V1(self, x) -> NDArray:
         """V1 at points x, for callers that take V as a callable."""
-        return self.fields(x, params).v1
+        return self.fields(x).v1
 
     # -- recursion and remainder -------------------------------------------
 

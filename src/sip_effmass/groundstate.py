@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NumericalError
-from .families import FamilyModel, ParamTriple
+from .families import FamilyModel
 from .massprofile import _cumulative_gl
 
 __all__ = [
@@ -68,14 +66,12 @@ def _normalize(x: NDArray, raw: NDArray) -> NDArray:
     return scaled * (1.0 / math.sqrt(norm2))
 
 
-def psi0_generic(
-    model: FamilyModel, grid, params: Optional[ParamTriple] = None
-) -> WavefunctionTable:
+def psi0_generic(model: FamilyModel, grid) -> WavefunctionTable:
     """Zero mode via the cumulative integral of W_eff over mu."""
-    return _psi0_generic(model, grid, params)[0]
+    return _psi0_generic(model, grid)[0]
 
 
-def _psi0_generic(model: FamilyModel, grid, params: Optional[ParamTriple] = None):
+def _psi0_generic(model: FamilyModel, grid):
     """psi0_generic's table, with the mu and U it evaluated on the grid."""
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 9:
@@ -83,7 +79,7 @@ def _psi0_generic(model: FamilyModel, grid, params: Optional[ParamTriple] = None
     if np.any(np.diff(x) <= 0):
         raise ConfigError("grid must be strictly increasing")
     mu = model.mumap.mu_array(x)
-    integral = _cumulative_gl(lambda m: model.fields_of_mu(m, params).weff, mu)
+    integral = _cumulative_gl(lambda m: model.fields_of_mu(m).weff, mu)
     u = np.asarray(model.profile.u(x), dtype=float)
     raw = np.exp(-(integral - np.min(integral))) / np.sqrt(u)
     return WavefunctionTable(x=x, psi=_normalize(x, raw)), mu, u
@@ -93,9 +89,9 @@ def psi0_closed(model: FamilyModel, x):
     """Closed-form zero mode, unnormalized.
 
     Family preconditions: ho needs sigma0 = b = 0 (with rho0 = a*l,
-    l < 0 for a zero mode regular at mu = 0); morse needs rho0 = b = 0
-    and bakes in sigma0 = a/2; the quadratic families need sigma0 = b =
-    0; the degenerate family uses its stored l and coupling.
+    l < 0 for a zero mode regular at mu = 0); morse needs rho0 = b = 0;
+    the quadratic families need sigma0 = b = 0; the degenerate family
+    uses its stored l and coupling.
     """
     scalar = np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -121,13 +117,8 @@ def psi0_closed(model: FamilyModel, x):
     elif model.family == "morse":
         if rho0 != 0.0 or b != 0.0:
             raise ConfigError("closed-form zero mode needs rho0 = b = 0")
-        if sig0 != 0.5 * a:
-            warnings.warn(
-                "closed form assumes sigma0 = a/2; the generic integral uses "
-                "the model's sigma0 and will differ",
-                stacklevel=2,
-            )
-        f = np.exp(-0.5 * a * mu) * np.exp(-(lam0 / (a * a)) * np.exp(-a * mu))
+        # W_eff = lam0 phi + sigma0 with phi = -exp(-a mu)/a
+        f = np.exp(-sig0 * mu) * np.exp(-(lam0 / (a * a)) * np.exp(-a * mu))
     elif model.family in ("pt_trig", "pt_hyp"):
         if sig0 != 0.0 or b != 0.0:
             raise ConfigError("closed-form zero mode needs sigma0 = b = 0")
@@ -148,13 +139,11 @@ def psi0_closed(model: FamilyModel, x):
                 if np.any(sinhf <= 0.0):
                     raise DomainError("hyperbolic zero mode with rho0 != 0 requires mu > 0")
                 f = f * sinhf ** (-rho0 / c)
-    elif model.family == "coulomb":
+    else:  # coulomb
         if np.any(mu <= 0.0):
             raise DomainError("radial zero mode requires mu > 0")
         lp1 = model.l + 1.0
         f = mu ** lp1 * np.exp(-model.ze2 * mu / (2.0 * lp1))
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown family '{model.family}'")
 
     out = f / np.sqrt(u)
     return float(out[0]) if scalar else out
@@ -166,9 +155,7 @@ def psi0_closed_table(model: FamilyModel, grid) -> WavefunctionTable:
     return WavefunctionTable(x=x, psi=_normalize(x, np.asarray(psi0_closed(model, x))))
 
 
-def annihilation_residual(
-    model: FamilyModel, table: WavefunctionTable, params: Optional[ParamTriple] = None
-) -> float:
+def annihilation_residual(model: FamilyModel, table: WavefunctionTable) -> float:
     """max |sqrt(U) d/dx (sqrt(U) psi) + W_eff psi| / max |psi|.
 
     The derivative is taken by 4th-order central differences on the
@@ -181,7 +168,7 @@ def annihilation_residual(
     if not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-9, atol=0.0):
         raise ConfigError("annihilation residual requires a uniform grid")
     u = np.asarray(model.profile.u(x), dtype=float)
-    weff = model.fields_of_mu(model.mumap.mu_array(x[2:-2]), params).weff
+    weff = model.fields_of_mu(model.mumap.mu_array(x[2:-2])).weff
     resid = _annihilation_pointwise(table, u, weff)
     return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 

@@ -12,6 +12,7 @@ shape in this package.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,17 +52,14 @@ class MassProfile:
     knots: Optional[NDArray] = None
 
 
-def _require_positive(params: dict, key: str):
-    val = params.get(key)
-    if val is None:
-        raise ConfigError(f"missing parameter '{key}'")
-    if not (val > 0):
-        raise ConfigError(f"parameter '{key}' must be positive, got {val!r}")
+def _require_positive(key: str, val) -> float:
+    if not (0 < val < math.inf):
+        raise ConfigError(f"parameter '{key}' must be positive and finite, got {val!r}")
     return float(val)
 
 
-def _constant(params: dict) -> MassProfile:
-    m0 = _require_positive(params, "m0")
+def _constant(*, m0=0.5) -> MassProfile:
+    m0 = _require_positive("m0", m0)
     s = math.sqrt(2.0 * m0)
     uval = 1.0 / s
 
@@ -85,11 +83,11 @@ def _constant(params: dict) -> MassProfile:
     )
 
 
-def _exp_mass(params: dict) -> MassProfile:
+def _exp_mass(*, beta, m0=0.5) -> MassProfile:
     # m(x) = m0 exp(2 beta x); mu is anchored at the x -> -inf limit,
     # where it vanishes, and maps the real line onto (0, inf).
-    m0 = _require_positive(params, "m0")
-    beta = _require_positive(params, "beta")
+    m0 = _require_positive("m0", m0)
+    beta = _require_positive("beta", beta)
     s = math.sqrt(2.0 * m0)
 
     def u(x):
@@ -115,10 +113,10 @@ def _exp_mass(params: dict) -> MassProfile:
     )
 
 
-def _asinh_mu(params: dict) -> MassProfile:
+def _asinh_mu(*, alpha, m0=0.5) -> MassProfile:
     # m(x) = m0 / (1 + (alpha x)^2): mu = sqrt(2 m0) asinh(alpha x)/alpha.
-    m0 = _require_positive(params, "m0")
-    alpha = _require_positive(params, "alpha")
+    m0 = _require_positive("m0", m0)
+    alpha = _require_positive("alpha", alpha)
     s = math.sqrt(2.0 * m0)
 
     def u(x):
@@ -147,11 +145,11 @@ def _asinh_mu(params: dict) -> MassProfile:
     )
 
 
-def _arctan_mu(params: dict) -> MassProfile:
+def _arctan_mu(*, alpha, m0=0.5) -> MassProfile:
     # m(x) = m0 / (1 + (alpha x)^2)^2: mu = sqrt(2 m0) arctan(alpha x)/alpha,
     # a bounded coordinate range.
-    m0 = _require_positive(params, "m0")
-    alpha = _require_positive(params, "alpha")
+    m0 = _require_positive("m0", m0)
+    alpha = _require_positive("alpha", alpha)
     s = math.sqrt(2.0 * m0)
 
     def u(x):
@@ -306,13 +304,12 @@ def _resolved_cumulative(inv_u, knots: NDArray) -> tuple[NDArray, NDArray]:
     )
 
 
-def _tabulated(params: dict) -> MassProfile:
-    if "data" in params:
-        rows = params["data"]
-    elif "path" in params:
-        rows = _parse_table(str(params["path"]))
-    else:
+def _tabulated(*, path=None, data=None) -> MassProfile:
+    if path is not None and data is not None:
+        raise ConfigError("profile 'tabulated' takes path or data, not both")
+    if path is None and data is None:
         raise ConfigError("tabulated profile requires 'path' or 'data'")
+    rows = _parse_table(str(path)) if data is None else data
     try:
         data = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -394,8 +391,9 @@ def registry_get(name: str, **params) -> MassProfile:
     Args:
         name: one of ``constant``, ``exp_mass``, ``asinh_mu``,
             ``arctan_mu``, ``tabulated``.
-        **params: profile parameters (``m0``, ``alpha``, ``beta``, or
-            ``path``/``data`` for tabulated samples).
+        **params: the builder's own keywords (``m0``, default 0.5,
+            ``alpha``, ``beta``, or ``path``/``data`` for tabulated
+            samples); any other key, or a missing one, is a ``ConfigError``.
     """
     try:
         builder = _BUILDERS[name]
@@ -403,7 +401,14 @@ def registry_get(name: str, **params) -> MassProfile:
         raise ConfigError(
             f"unknown profile '{name}'; available: {', '.join(REGISTRY_NAMES)}"
         ) from None
-    return builder(params)
+    takes = inspect.signature(builder).parameters
+    dead = [key for key in params if key not in takes]
+    if dead:
+        raise ConfigError(f"profile '{name}' does not take {', '.join(dead)}")
+    missing = [k for k, p in takes.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise ConfigError(f"profile '{name}' requires {', '.join(missing)}")
+    return builder(**params)
 
 
 class MuMap:

@@ -65,8 +65,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ConfigError("grid requires x_lo < x_hi")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise ConfigError("grid requires finite x_lo < x_hi")
         if self.n_points < 64:
             raise ConfigError("grid requires at least 64 points")
         if self.n_points > MAX_GRID_POINTS:

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 from sip_effmass import cli
 from sip_effmass.cli import main
-from sip_effmass.massprofile import MuMap
+from sip_effmass.massprofile import _BUILDERS, MuMap
 from sip_effmass.spectra import MAX_TABLE_LEVELS
 from sip_effmass.verify import MAX_LEVELS
 
@@ -290,6 +291,13 @@ def test_dead_profile_keys_exit_2(tmp_path, capsys, case, source):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+def test_profile_keys_are_the_builders_keywords():
+    # a builder keyword the CLI cannot set, or a CLI key no builder reads, fails here
+    builder_keys = {key for b in _BUILDERS.values() for key in signature(b).parameters}
+    cli_keys = {key.partition(".")[2] for _, key, _, _ in cli._KEYS if key.startswith("profile.")}
+    assert builder_keys == cli_keys - {"name", "x_ref"}
+
+
 def test_tabulated_takes_path_or_data(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"profile": {"name": "tabulated", "data": TABLE_ROWS}}))
@@ -332,6 +340,14 @@ MALFORMED = {
     "unknown_output": ("sweep", [], {"outputs": ["spectrum", "potentail"], "sweep": {"n": [3]}}),
     "unknown_output_empty_sweep": ("sweep", [], {"outputs": ["potentail"]}),
     "missing_table": ("spectrum", ["--profile", "tabulated", "--table", "no-such-table.csv"], None),
+    "family_pttrig": ("spectrum", ["--family", "pttrig"], None),
+    "asinh_mu_without_alpha": ("spectrum", ["--profile", "asinh_mu"], None),
+    "x_hi_inf": ("potential", ["--x-hi=inf"], None),
+    "x_lo_minus_inf": ("potential", ["--x-lo=-inf"], None),
+    "x_hi_nan_in_file": ("potential", [], {"grid": {"x_hi": "nan"}}),
+    "m0_inf": ("spectrum", ["--m0=inf"], None),
+    "alpha_inf": ("spectrum", ["--profile", "asinh_mu", "--alpha=inf"], None),
+    "beta_inf": ("spectrum", ["--profile", "exp_mass", "--beta=inf"], None),
 }
 
 

@@ -94,6 +94,11 @@ def test_family_aliases(const_profile, const_mumap):
     assert m.family == "pt_trig"
 
 
+def test_model_rejects_a_mumap_of_another_profile(const_mumap, asinh_profile):
+    with pytest.raises(ValidationError, match="another profile"):
+        make_model("ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, 0.0), asinh_profile, const_mumap)
+
+
 def test_morse_reduced_constructor(const_profile, const_mumap):
     m = FamilyModel.morse_reduced(
         a=-1.0, lambda0=1.0, sigma0=-2.5, profile=const_profile, mumap=const_mumap

@@ -174,6 +174,19 @@ def test_ho_closed_form_warns_when_origin_factor_grows(const_profile, const_muma
         psi0_closed(model, np.linspace(0.1, 2.0, 15))
 
 
+@pytest.mark.parametrize("sigma0", [-1.5, -2.5])
+def test_morse_closed_form_reads_sigma0(const_profile, const_mumap, sigma0):
+    # exp(-sigma0 mu - (lam0/a^2) e^{-a mu}) is the zero mode for every sigma0
+    model = FamilyModel.morse_reduced(
+        a=-1.0, lambda0=1.0, sigma0=sigma0, profile=const_profile, mumap=const_mumap
+    )
+    x = np.arange(-20.0, 3.0, 1e-3)
+    generic = psi0_generic(model, x)
+    closed = psi0_closed_table(model, x)
+    assert np.max(np.abs(closed.psi - generic.psi)) <= 1e-8
+    assert annihilation_residual(model, closed) <= 1e-7
+
+
 def test_generic_grid_validation(const_profile, const_mumap):
     model = make_model(
         "ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, -1.0), const_profile, const_mumap

@@ -51,6 +51,36 @@ def test_registry_rejects_nonpositive_parameters():
         registry_get("asinh_mu", m0=1.0)  # missing alpha
 
 
+@pytest.mark.parametrize("name,params,dead", [
+    ("constant", {}, "alpha"),
+    ("exp_mass", {"beta": 1.0}, "alpha"),
+    ("asinh_mu", {"alpha": 0.1}, "beta"),
+    ("arctan_mu", {"alpha": 0.1}, "beta"),
+    # the key is rejected before the (missing) file is read
+    ("tabulated", {"path": "no-such-table.csv"}, "m0"),
+])
+def test_registry_rejects_keys_the_builder_does_not_take(name, params, dead):
+    with pytest.raises(ConfigError, match=f"^profile '{name}' does not take {dead}$"):
+        registry_get(name, **params, **{dead: 1.0})
+
+
+def test_registry_names_a_missing_key_and_defaults_m0():
+    with pytest.raises(ConfigError, match="alpha"):
+        registry_get("arctan_mu", m0=0.5)
+    assert registry_get("constant").u(0.0) == 1.0
+
+
+@pytest.mark.parametrize("name,params", [
+    ("constant", {"m0": math.inf}),
+    ("exp_mass", {"beta": math.inf}),
+    ("asinh_mu", {"alpha": math.inf}),
+    ("arctan_mu", {"alpha": math.nan}),
+])
+def test_registry_rejects_non_finite_parameters(name, params):
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        registry_get(name, **params)
+
+
 def test_u_positive_and_derivatives_consistent(profile_and_map):
     """du and d2u must be the derivatives of u (central-difference check)."""
     profile, _ = profile_and_map
@@ -244,8 +274,11 @@ def test_profiles_load_no_scipy():
         "import sys\n"
         "import sip_effmass as s\n"
         "data = [[0.0, 1.0], [1.0, 1.2], [2.0, 0.9], [3.0, 1.1]]\n"
+        "params = {'constant': {'m0': 0.5}, 'exp_mass': {'m0': 0.5, 'beta': 0.3},\n"
+        "          'asinh_mu': {'m0': 0.5, 'alpha': 0.2}, 'arctan_mu': {'m0': 0.5, 'alpha': 0.2},\n"
+        "          'tabulated': {'data': data}}\n"
         "for name in s.REGISTRY_NAMES:\n"
-        "    p = s.registry_get(name, m0=0.5, alpha=0.2, beta=0.3, data=data)\n"
+        "    p = s.registry_get(name, **params[name])\n"
         "    s.MuMap(p).mu_array([0.5, 1.5])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
