@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SipEffmassError, ValidationError
+from .errors import ConfigError, DomainError, NumericalError, SipEffmassError, ValidationError
 from .families import FamilyCoeffs, FamilyModel, ParamTriple, canonical_family
 from .groundstate import _annihilation_pointwise, _psi0_generic
 from .massprofile import MuMap, registry_get
@@ -207,7 +207,11 @@ def build_profile(cfg: RunConfig) -> MuMap:
     pcfg = dict(cfg.profile)
     name = pcfg.pop("name", "constant")
     x_ref = pcfg.pop("x_ref", None)
-    return MuMap(registry_get(name, **pcfg), x_ref=x_ref)
+    profile = registry_get(name, **pcfg)
+    try:
+        return MuMap(profile, x_ref=x_ref)
+    except (DomainError, NumericalError) as exc:  # raised only for x_ref
+        raise ConfigError(f"bad x_ref: {exc}") from exc
 
 
 def build_model(cfg: RunConfig) -> FamilyModel:

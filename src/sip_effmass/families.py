@@ -341,6 +341,48 @@ class FamilyModel:
             raise DomainError("coulomb phi undefined at mu = 0")
         return -(2.0 + b * mu) / (2.0 * a * mu)
 
+    def weff_integral(self, mu) -> NDArray:
+        """int W_eff dmu at points mu in closed form, up to a constant.
+
+        dphi/dmu = P(phi) makes lam int phi dmu + sigma mu + rho int dmu/phi
+        elementary in (A, B, C).  Consecutive points must not straddle a
+        pole of W_eff (DomainError): phi keeps one sign when rho != 0, and it
+        never steps against the sign of P, as it would through infinity.
+        """
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        phi = self.phi_from_mu(mu)
+        A, B, C = self.ode_coeffs()
+        lam, sigma, rho = self.params0.lam, self.params0.sigma, self.params0.rho
+        p = (A * phi + B) * phi + C
+        anchor = np.argmax(np.abs(p))  # rounding cannot flip the sign of P here
+        phi_crosses_0 = rho != 0.0 and not (np.all(phi > 0.0) or np.all(phi < 0.0))
+        if phi_crosses_0 or np.any(np.diff(phi) * np.diff(mu) * np.sign(p[anchor]) < 0.0):
+            raise DomainError("consecutive points straddle a pole of W_eff")
+        if A == 0.0:
+            log_p = B * mu  # dP/dmu = B P
+        elif B * B > 4.0 * A * C:
+            # phi has lost the digits of its distance to a root it nears, but the
+            # distances d1, d2 to the roots obey ln(d1/d2) = A (r1 - r2) mu + const
+            r1, r2 = (-B + np.array([-1.0, 1.0]) * math.sqrt(B * B - 4.0 * A * C)) / (2.0 * A)
+            d1, d2 = np.abs(phi - r1), np.abs(phi - r2)
+            t = A * (r1 - r2) * (mu - mu[anchor]) + np.log(d1[anchor] / d2[anchor])
+            log_p = math.log(abs(A)) + 2.0 * np.log(np.maximum(d1, d2)) + np.sign(d2 - d1) * t
+        else:
+            log_p = np.log(np.abs(p))
+        if A != 0.0:
+            g = lam * (log_p - B * mu) / (2.0 * A) + sigma * mu
+        elif B != 0.0:
+            g = lam * (phi - C * mu) / B + sigma * mu
+        else:
+            g = lam * phi * phi / (2.0 * C) + sigma * mu
+        if rho != 0.0 and C != 0.0:
+            g = g + rho * (np.log(np.abs(phi)) - 0.5 * log_p - 0.5 * B * mu) / C
+        elif rho != 0.0 and B != 0.0:
+            g = g - rho * (1.0 / (B * phi) + (A / B) * mu)
+        elif rho != 0.0:
+            g = g - rho / (2.0 * A * phi * phi)
+        return g
+
     # -- superpotential and partner potentials -----------------------------
 
     def fields_of_mu(self, mu, params: Optional[ParamTriple] = None) -> Fields:

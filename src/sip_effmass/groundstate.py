@@ -1,10 +1,14 @@
-"""Ground-state wavefunctions: generic integral form and closed forms.
+"""Ground-state wavefunctions: generic integral form and one closed form.
 
 The ground state is the zero mode of the annihilation operator
 
     A = sqrt(U) d/dx sqrt(U) + W_eff = U d/dx + W,
 
 namely psi_0(x) = N exp[- int W/U dz] = (N / sqrt(U)) exp[- int W_eff d mu].
+
+``psi0_generic`` integrates W_eff over mu by quadrature; ``psi0_closed``
+takes g = int W_eff dmu in closed form (``FamilyModel.weff_integral``) and
+returns exp(-(g - min g)) / sqrt(U), on every family and slice.
 
 Note the 1/sqrt(U) prefactor: it is forced by A psi_0 = 0 and by the
 Rayleigh-quotient consistency with the discretized Hamiltonian.  (A
@@ -16,12 +20,11 @@ after normalization.)
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, NumericalError
 from .families import FamilyModel
 from .massprofile import _cumulative_gl
 
@@ -85,74 +88,24 @@ def _psi0_generic(model: FamilyModel, grid):
     return WavefunctionTable(x=x, psi=_normalize(x, raw)), mu, u
 
 
-def psi0_closed(model: FamilyModel, x):
-    """Closed-form zero mode, unnormalized.
+def psi0_closed(model: FamilyModel, x) -> NDArray:
+    """Unnormalized zero mode exp(-(g - min g)) / sqrt(U) at points x.
 
-    Family preconditions: ho needs sigma0 = b = 0 (with rho0 = a*l,
-    l < 0 for a zero mode regular at mu = 0); morse needs rho0 = b = 0;
-    the quadratic families need sigma0 = b = 0; the degenerate family
-    uses its stored l and coupling.
+    g = int W_eff dmu is :meth:`FamilyModel.weff_integral`, whose domain the
+    points take; subtracting min g keeps the exponential at most 1.
     """
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    mu = model.mumap.mu_array(xa)
-    u = np.atleast_1d(np.asarray(model.profile.u(xa), dtype=float))
-    a, b, c = model.coeffs.a, model.coeffs.b, model.coeffs.c
-    lam0, sig0, rho0 = model.params0.lam, model.params0.sigma, model.params0.rho
-
-    if model.family == "ho":
-        if sig0 != 0.0 or b != 0.0:
-            raise ConfigError("closed-form zero mode needs sigma0 = b = 0")
-        l_eff = rho0 / a
-        if l_eff >= 0.0:
-            warnings.warn(
-                "rho0/a >= 0: the mu^(-l) factor does not vanish at mu = 0, "
-                "normalizability at the origin is not guaranteed",
-                stacklevel=2,
-            )
-        if np.any(mu <= 0.0):
-            raise DomainError("half-line zero mode requires mu > 0")
-        omega = 2.0 * a * lam0
-        f = mu ** (-l_eff) * np.exp(-0.25 * omega * mu * mu)
-    elif model.family == "morse":
-        if rho0 != 0.0 or b != 0.0:
-            raise ConfigError("closed-form zero mode needs rho0 = b = 0")
-        # W_eff = lam0 phi + sigma0 with phi = -exp(-a mu)/a
-        f = np.exp(-sig0 * mu) * np.exp(-(lam0 / (a * a)) * np.exp(-a * mu))
-    elif model.family in ("pt_trig", "pt_hyp"):
-        if sig0 != 0.0 or b != 0.0:
-            raise ConfigError("closed-form zero mode needs sigma0 = b = 0")
-        if model.family == "pt_trig":
-            k = math.sqrt(a * c)
-            cosf = np.cos(k * mu)
-            sinf = np.sin(k * mu)
-            if np.any(cosf <= 0.0) or (rho0 != 0.0 and np.any(sinf <= 0.0)):
-                raise DomainError("trigonometric zero mode requires k*mu in (0, pi/2)")
-            f = cosf ** (lam0 / a)
-            if rho0 != 0.0:
-                f = f * sinf ** (-rho0 / c)
-        else:
-            k = math.sqrt(-a * c)
-            f = np.cosh(k * mu) ** (lam0 / a)
-            if rho0 != 0.0:
-                sinhf = np.sinh(k * mu)
-                if np.any(sinhf <= 0.0):
-                    raise DomainError("hyperbolic zero mode with rho0 != 0 requires mu > 0")
-                f = f * sinhf ** (-rho0 / c)
-    else:  # coulomb
-        if np.any(mu <= 0.0):
-            raise DomainError("radial zero mode requires mu > 0")
-        lp1 = model.l + 1.0
-        f = mu ** lp1 * np.exp(-model.ze2 * mu / (2.0 * lp1))
-
-    out = f / np.sqrt(u)
-    return float(out[0]) if scalar else out
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = model.weff_integral(model.mumap.mu_array(x))
+    out = np.exp(-(g - np.min(g))) / np.sqrt(np.asarray(model.profile.u(x), dtype=float))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("closed-form zero mode is not finite")
+    return out
 
 
 def psi0_closed_table(model: FamilyModel, grid) -> WavefunctionTable:
     """Normalized closed-form zero mode on a grid."""
     x = np.asarray(grid, dtype=float)
-    return WavefunctionTable(x=x, psi=_normalize(x, np.asarray(psi0_closed(model, x))))
+    return WavefunctionTable(x=x, psi=_normalize(x, psi0_closed(model, x)))
 
 
 def annihilation_residual(model: FamilyModel, table: WavefunctionTable) -> float:

@@ -307,6 +307,22 @@ def test_tabulated_takes_path_or_data(tmp_path, capsys):
     assert err["message"] == "profile 'tabulated' takes path or data, not both"
 
 
+@pytest.mark.parametrize("x_ref,table", [("inf", False), ("nan", False), ("5", True)],
+                         ids=["inf", "nan", "outside_table"])
+def test_bad_x_ref_exits_2(tmp_path, capsys, x_ref, table):
+    # mu(x_ref) must be finite and x_ref inside the profile's domain
+    args = ["spectrum", *HO_ARGS, f"--x-ref={x_ref}", "--out", str(tmp_path)]
+    if table:  # TABLE_ROWS spans x in [0, 3]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"name": "tabulated", "data": TABLE_ROWS}}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)  # one JSON document and nothing else
+    assert err["error_type"] == "ConfigError"
+    assert err["message"].startswith("bad x_ref: ")
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_verify_morse_b_zero_rejects_rho0(tmp_path, capsys):
     # the reduced well is compared at rho0 = 0, so --rho0 1 would go unchecked
     args = ["verify", *MORSE_REDUCED_ARGS, "--rho0", "1", "--n", "2", "--out", str(tmp_path)]
