@@ -341,23 +341,33 @@ class FamilyModel:
             raise DomainError("coulomb phi undefined at mu = 0")
         return -(2.0 + b * mu) / (2.0 * a * mu)
 
+    def phi_between_poles(self, mu) -> tuple[NDArray, NDArray, int]:
+        """phi and P(phi) at points mu, and the index where |P| peaks.
+
+        Consecutive points must not straddle a pole of W_eff (DomainError):
+        phi keeps one sign when rho != 0, and it never steps against the
+        sign of P, as it would through infinity.
+        """
+        phi = self.phi_from_mu(mu)
+        A, B, C = self.ode_coeffs()
+        p = (A * phi + B) * phi + C
+        anchor = np.argmax(np.abs(p))  # rounding cannot flip the sign of P here
+        phi_crosses_0 = self.params0.rho != 0.0 and not (np.all(phi > 0.0) or np.all(phi < 0.0))
+        if phi_crosses_0 or np.any(np.diff(phi) * np.diff(mu) * np.sign(p[anchor]) < 0.0):
+            raise DomainError("consecutive points straddle a pole of W_eff")
+        return phi, p, anchor
+
     def weff_integral(self, mu) -> NDArray:
         """int W_eff dmu at points mu in closed form, up to a constant.
 
         dphi/dmu = P(phi) makes lam int phi dmu + sigma mu + rho int dmu/phi
-        elementary in (A, B, C).  Consecutive points must not straddle a
-        pole of W_eff (DomainError): phi keeps one sign when rho != 0, and it
-        never steps against the sign of P, as it would through infinity.
+        elementary in (A, B, C).  The points must lie between poles of
+        W_eff (:meth:`phi_between_poles`).
         """
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        phi = self.phi_from_mu(mu)
+        phi, p, anchor = self.phi_between_poles(mu)
         A, B, C = self.ode_coeffs()
         lam, sigma, rho = self.params0.lam, self.params0.sigma, self.params0.rho
-        p = (A * phi + B) * phi + C
-        anchor = np.argmax(np.abs(p))  # rounding cannot flip the sign of P here
-        phi_crosses_0 = rho != 0.0 and not (np.all(phi > 0.0) or np.all(phi < 0.0))
-        if phi_crosses_0 or np.any(np.diff(phi) * np.diff(mu) * np.sign(p[anchor]) < 0.0):
-            raise DomainError("consecutive points straddle a pole of W_eff")
         if A == 0.0:
             log_p = B * mu  # dP/dmu = B P
         elif B * B > 4.0 * A * C:

@@ -70,7 +70,7 @@ def _normalize(x: NDArray, raw: NDArray) -> NDArray:
 
 
 def psi0_generic(model: FamilyModel, grid) -> WavefunctionTable:
-    """Zero mode via the cumulative integral of W_eff over mu."""
+    """Zero mode via the cumulative integral of W_eff over mu, between poles."""
     return _psi0_generic(model, grid)[0]
 
 
@@ -82,6 +82,7 @@ def _psi0_generic(model: FamilyModel, grid):
     if np.any(np.diff(x) <= 0):
         raise ConfigError("grid must be strictly increasing")
     mu = model.mumap.mu_array(x)
+    model.phi_between_poles(mu)  # DomainError: the quadrature would step over a pole
     integral = _cumulative_gl(lambda m: model.fields_of_mu(m).weff, mu)
     u = np.asarray(model.profile.u(x), dtype=float)
     raw = np.exp(-(integral - np.min(integral))) / np.sqrt(u)

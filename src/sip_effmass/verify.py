@@ -4,7 +4,10 @@ The Hamiltonian -d/dx U^2 d/dx + V1 is discretized in flux form on a
 uniform Dirichlet grid (exactly symmetric tridiagonal).  Its lowest
 eigenvalues come from LAPACK's bisection routine (stebz, through
 ``scipy.linalg.eigh_tridiagonal``); each eigenpair's residual comes
-from seeded inverse iteration, so the report is reproducible.
+from seeded inverse iteration, so the report is reproducible.  Each
+level factors H - shift once (LAPACK gttrf) and takes three gttrs
+steps; a singular factor raises NumericalError (CLI exit 3).  The
+half-grid Richardson check solves for eigenvalues only.
 
 Because the alternating parameter recursion produces algebraic levels
 that need not correspond to normalizable eigenstates (degenerate pairs
@@ -142,21 +145,17 @@ def _tridiag_matvec(diag: NDArray, off: NDArray, v: NDArray) -> NDArray:
     return hv
 
 
-def lowest_eigenvalues(
-    diag: NDArray, off: NDArray, k: int, grid: Optional[GridSpec] = None
-) -> GridEigenResult:
-    """Lowest k eigenvalues by LAPACK bisection, residuals by inverse iteration."""
+def _lowest_k(diag: NDArray, off: NDArray, k: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Checked float (diag, off) and their lowest k eigenvalues by LAPACK bisection."""
     global eigh_tridiagonal
     if eigh_tridiagonal is None:
         from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg import solve_banded
 
     if not 1 <= k <= MAX_LEVELS:
         raise ConfigError(f"k must be between 1 and {MAX_LEVELS}")
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    n = diag.size
-    if k >= n:
+    if k >= diag.size:
         raise ConfigError("k must be smaller than the matrix dimension")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise NumericalError("tridiagonal matrix has non-finite entries")
@@ -166,6 +165,15 @@ def lowest_eigenvalues(
         )
     except LinAlgError as exc:
         raise NumericalError(f"tridiagonal eigensolve failed: {exc}") from exc
+    return diag, off, eigs
+
+
+def lowest_eigenvalues(
+    diag: NDArray, off: NDArray, k: int, grid: Optional[GridSpec] = None
+) -> GridEigenResult:
+    """Lowest k eigenvalues by LAPACK bisection, residuals by inverse iteration."""
+    diag, off, eigs = _lowest_k(diag, off, k)
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     # Residuals from inverse iteration, not from LAPACK's stein vectors: on a
     # 4001-point particle in a box stein leaves 1e-8 to 4e-8 per pair,
@@ -173,15 +181,16 @@ def lowest_eigenvalues(
     scale = float(np.max(np.abs(diag)) + 2.0 * (np.max(np.abs(off)) if off.size else 0.0))
     residuals = np.empty(k)
     rng = np.random.default_rng(0)
-    ab = np.zeros((3, n))
     for j in range(k):
         shift = eigs[j] + 1e-11 * max(scale, 1.0)
-        ab[0, 1:] = off
-        ab[1, :] = diag - shift
-        ab[2, :-1] = off
-        v = rng.standard_normal(n)
+        *lu, info = dgttrf(off, diag - shift, off)
+        if info > 0:
+            raise NumericalError(
+                f"inverse iteration at level {j}: H - shift has a singular LU factor"
+            )
+        v = rng.standard_normal(diag.size)
         for _ in range(3):
-            v = solve_banded((1, 1), ab, v)
+            v, _ = dgttrs(*lu, v)
             v /= np.linalg.norm(v)
         residuals[j] = float(np.linalg.norm(_tridiag_matvec(diag, off, v) - eigs[j] * v))
     return GridEigenResult(grid=grid, eigenvalues=eigs, residuals=residuals)
@@ -200,16 +209,14 @@ def _eigensolve_with_refinement(
     k: int,
     tol: float,
 ) -> GridEigenResult:
-    """Solve on the grid and Richardson-check the ground level at half resolution."""
+    """Solve on the grid and Richardson-check the k eigenvalues at half resolution."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     diag, off = discretize(profile, potential, grid)
     fine = lowest_eigenvalues(diag, off, k, grid=grid)
-    coarse_grid = grid.halved()
-    dc, oc = discretize(profile, potential, coarse_grid)
-    coarse = lowest_eigenvalues(dc, oc, k, grid=coarse_grid)
+    _, _, coarse = _lowest_k(*discretize(profile, potential, grid.halved()), k)
     # 2nd-order stencil: error(h) ~ (error(2h) - error(h)) / 3
-    err_est = float(np.max(np.abs(fine.eigenvalues - coarse.eigenvalues)) / 3.0)
+    err_est = float(np.max(np.abs(fine.eigenvalues - coarse)) / 3.0)
     scale = max(1.0, float(np.max(np.abs(fine.eigenvalues))))
     if err_est > tol * scale:
         raise NumericalError(

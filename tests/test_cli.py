@@ -469,6 +469,18 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert err["error_type"] == "NumericalError"
 
 
+def test_groundstate_rejects_a_grid_across_a_pole(tmp_path, capsys):
+    # rho/phi has a pole at x = 0 that no node or quadrature point comes near
+    args = [
+        "groundstate", "--family", "ho", "--a", "1", "--lambda0", "1", "--sigma0", "0",
+        "--rho0=-1", "--x-lo=-2.71", "--x-hi=3.13", "--n-points=777", "--out", str(tmp_path),
+    ]
+    assert main(args) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "DomainError"
+    assert not (tmp_path / "groundstate.csv").exists()
+
+
 def test_potential_rejects_non_finite_columns(tmp_path, capsys):
     # exp_mass far in its left tail: U overflows and V1, V2 turn NaN
     args = [

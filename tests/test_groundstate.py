@@ -226,20 +226,31 @@ def test_closed_zero_mode_on_every_slice(off_slice_mumap, draw):
         assert annihilation_residual(chained, closed) <= 1e-7, (draw, n)
 
 
-@pytest.mark.parametrize("family", ["ho", "coulomb"])
-def test_closed_zero_mode_rejects_a_grid_across_a_pole(const_profile, const_mumap, family):
+def _model_with_a_pole_at_0(family, profile, mumap):
     # ho with rho0 != 0 has rho/phi blow up at mu = 0; coulomb's phi passes
     # through infinity there
     if family == "ho":
-        model = make_model(
-            "ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, -1.0), const_profile, const_mumap
-        )
-    else:
-        model = FamilyModel.coulomb(
-            a=1.0, b=0.5, l=0, ze2=1.0, profile=const_profile, mumap=const_mumap
-        )
+        return make_model("ho", FamilyCoeffs(a=1.0), ParamTriple(1.0, 0.0, -1.0), profile, mumap)
+    return FamilyModel.coulomb(a=1.0, b=0.5, l=0, ze2=1.0, profile=profile, mumap=mumap)
+
+
+@pytest.mark.parametrize("family", ["ho", "coulomb"])
+def test_closed_zero_mode_rejects_a_grid_across_a_pole(const_profile, const_mumap, family):
+    model = _model_with_a_pole_at_0(family, const_profile, const_mumap)
     with pytest.raises(DomainError):
         psi0_closed(model, np.linspace(-3.0, 3.0, 600))
+
+
+@pytest.mark.parametrize("family", ["ho", "coulomb"])
+@pytest.mark.parametrize(
+    "grid", [(-3.0, 3.0, 600), (-2.71, 3.13, 777)], ids=["symmetric", "no_node_near_0"]
+)
+def test_generic_zero_mode_rejects_a_grid_across_a_pole(const_profile, const_mumap, family, grid):
+    # on the second grid no quadrature node comes near the pole, so only the
+    # domain check stops the integral from stepping over it
+    model = _model_with_a_pole_at_0(family, const_profile, const_mumap)
+    with pytest.raises(DomainError):
+        psi0_generic(model, np.linspace(*grid))
 
 
 def test_ho_closed_zero_mode_on_the_full_line_is_the_gaussian(const_profile, const_mumap):

@@ -137,6 +137,43 @@ def test_lapack_failure_is_numerical_error(monkeypatch):
         lowest_eigenvalues(np.ones(100), np.zeros(99), 1)
 
 
+def test_singular_inverse_iteration_factor_is_numerical_error(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    factor = lapack.dgttrf
+    # info = 1: U(1, 1) of the LU factor is exactly zero
+    monkeypatch.setattr(lapack, "dgttrf", lambda *args: (*factor(*args)[:-1], 1))
+    with pytest.raises(NumericalError, match="singular LU factor"):
+        lowest_eigenvalues(np.full(20, 2.0), np.full(19, -1.0), 3)
+
+
+# a smooth inline table; mu spans about (-20, 50) around x_ref = 0
+_TABLE = [[x, 0.5 + 0.1 * np.sin(0.25 * x)] for x in np.arange(-22.0, 53.0, 1.0)]
+# registry keys and x_ref of each profile, so that mu reaches [-15, 5]
+PROFILES = {
+    "constant": ({"m0": 0.5}, None),
+    "exp_mass": ({"m0": 0.5, "beta": 0.05}, 0.0),
+    "asinh_mu": ({"m0": 0.5, "alpha": 0.1}, None),
+    "arctan_mu": ({"m0": 0.5, "alpha": 0.03}, None),
+    "tabulated": ({"data": _TABLE}, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_residuals_on_every_profile(name):
+    """The Morse-reduced well that ``verify`` solves, on mu in [-15, 5]."""
+    keys, x_ref = PROFILES[name]
+    profile = registry_get(name, **keys)
+    mumap = MuMap(profile, x_ref=x_ref)
+    grid = GridSpec(mumap.mu_inverse(-15.0), mumap.mu_inverse(5.0), 2001)
+    model = FamilyModel.morse_reduced(
+        a=-1.0, lambda0=1.0, sigma0=-2.5, profile=profile, mumap=mumap
+    )
+    res = lowest_eigenvalues(*discretize_model(model, grid), 3, grid=grid)
+    assert np.all(res.residuals <= 1e-8), res.residuals
+    assert np.max(np.abs(res.gaps - [0.0, 4.0, 6.0])) < 5e-3
+
+
 @pytest.mark.parametrize("entry", ["diag_nan", "off_inf"])
 def test_non_finite_matrix_is_numerical_error(entry):
     diag, off = np.ones(100), np.zeros(99)
