@@ -12,7 +12,7 @@ from sip_effmass import (
     FamilyModel,
     GridSpec,
     MuMap,
-    discretize_model,
+    discretize,
     lowest_eigenvalues,
     registry_get,
 )
@@ -42,7 +42,7 @@ def main():
     prev_err = None
     for n in args.points:
         grid = GridSpec(args.x_lo, args.x_hi, n)
-        diag, off = discretize_model(model, grid)
+        diag, off = discretize(model.profile, model.potential_V1, grid)
         res = lowest_eigenvalues(diag, off, 3, grid=grid)
         gaps = res.eigenvalues - res.eigenvalues[0]
         errs = [abs(gaps[i + 1] - exact_gaps[i]) for i in range(2)]

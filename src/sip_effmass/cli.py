@@ -217,7 +217,8 @@ def build_profile(cfg: RunConfig) -> MuMap:
 def build_model(cfg: RunConfig) -> FamilyModel:
     mumap = build_profile(cfg)
     fcfg = cfg.family
-    # 'tag' and 'name' are synonyms
+    if "tag" in fcfg and "name" in fcfg:
+        raise ConfigError("family 'tag' and 'name' are synonyms: give one of them")
     tag = canonical_family(fcfg.get("tag", fcfg.get("name", "")))
     dead = [key for key in _DEAD_KEYS[tag] if key in fcfg]
     if dead:
@@ -314,8 +315,9 @@ def run_verify(cfg: RunConfig, out_dir: Path):
 def run_shapecheck(cfg: RunConfig, out_dir: Path):
     model = build_model(cfg)
     grid = build_grid(cfg)
-    f = model.fields(grid.interior())
-    residual = model.shape_invariance_residual_of_mu(f.mu)
+    mu = model.mumap.mu_array(grid.interior())
+    f = model.fields_of_mu(mu)
+    residual = model.shape_invariance_residual_of_mu(mu)
     scale = max(1.0, float(np.max(np.abs(f.v1_eff))), float(np.max(np.abs(f.v2_eff))))
     payload = {
         "max_residual": residual,

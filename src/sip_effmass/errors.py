@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "SipEffmassError",
+    "ConfigError",
+    "ValidationError",
+    "DomainError",
+    "PoleError",
+    "NumericalError",
+]
+
 
 class SipEffmassError(Exception):
     """Base class for all package-specific errors."""

@@ -375,7 +375,11 @@ class FamilyModel:
             # distances d1, d2 to the roots obey ln(d1/d2) = A (r1 - r2) mu + const
             r1, r2 = (-B + np.array([-1.0, 1.0]) * math.sqrt(B * B - 4.0 * A * C)) / (2.0 * A)
             d1, d2 = np.abs(phi - r1), np.abs(phi - r2)
-            t = A * (r1 - r2) * (mu - mu[anchor]) + np.log(d1[anchor] / d2[anchor])
+            t = A * (r1 - r2) * (mu - mu[anchor])
+            # at d1 or d2 = 0 P vanishes at its peak, so every point sits on
+            # that root and the constant would only shift g
+            if d1[anchor] != 0.0 and d2[anchor] != 0.0:
+                t = t + np.log(d1[anchor] / d2[anchor])
             log_p = math.log(abs(A)) + 2.0 * np.log(np.maximum(d1, d2)) + np.sign(d2 - d1) * t
         else:
             log_p = np.log(np.abs(p))
@@ -387,10 +391,9 @@ class FamilyModel:
             g = lam * phi * phi / (2.0 * C) + sigma * mu
         if rho != 0.0 and C != 0.0:
             g = g + rho * (np.log(np.abs(phi)) - 0.5 * log_p - 0.5 * B * mu) / C
-        elif rho != 0.0 and B != 0.0:
-            g = g - rho * (1.0 / (B * phi) + (A / B) * mu)
         elif rho != 0.0:
-            g = g - rho / (2.0 * A * phi * phi)
+            # B = C = 0 would need b = c = 0, which validate rejects
+            g = g - rho * (1.0 / (B * phi) + (A / B) * mu)
         return g
 
     # -- superpotential and partner potentials -----------------------------
@@ -418,12 +421,12 @@ class FamilyModel:
         uwp_eff = slope * ((A * phi + B) * phi + C)
         return Fields(phi=phi, weff=lam * phi + pole + sigma, uwp_eff=uwp_eff)
 
-    def fields(self, x, params: Optional[ParamTriple] = None) -> Fields:
+    def fields(self, x) -> Fields:
         """Every column at points x: mu is mapped and U, U', U'' are
         evaluated once."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         mu = self.mumap.mu_array(x)
-        f = self.fields_of_mu(mu, params)
+        f = self.fields_of_mu(mu)
         return replace(
             f,
             x=x,
@@ -513,14 +516,10 @@ class FamilyModel:
 
     # -- residual check ------------------------------------------------------
 
-    def shape_invariance_residual(self, grid) -> float:
-        """max over the grid of |V2_eff(x; p0) - V1_eff(x; p1) - R(p0)|,
-        with p1 and R from the model's branch."""
-        mu = self.mumap.mu_array(np.atleast_1d(np.asarray(grid, dtype=float)))
-        return self.shape_invariance_residual_of_mu(mu)
-
     def shape_invariance_residual_of_mu(self, mu_grid) -> float:
-        """Same residual, evaluated at deformation-coordinate points."""
+        """max over deformation-coordinate points of
+        |V2_eff(p0) - V1_eff(p1) - R(p0)|, with p1 and R from the model's
+        branch.  The effective pair depends on x only through mu."""
         p1 = self.next_params(self.params0)
         v2e0 = self.fields_of_mu(mu_grid).v2_eff
         v1e1 = self.fields_of_mu(mu_grid, p1).v1_eff

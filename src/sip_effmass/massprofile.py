@@ -24,8 +24,6 @@ from .errors import ConfigError, DomainError, NumericalError
 
 __all__ = ["MassProfile", "MuMap", "registry_get", "REGISTRY_NAMES"]
 
-REGISTRY_NAMES = ("constant", "exp_mass", "asinh_mu", "arctan_mu", "tabulated")
-
 
 @dataclass(frozen=True)
 class MassProfile:
@@ -383,6 +381,7 @@ _BUILDERS = {
     "arctan_mu": _arctan_mu,
     "tabulated": _tabulated,
 }
+REGISTRY_NAMES = tuple(_BUILDERS)
 
 
 def registry_get(name: str, **params) -> MassProfile:
@@ -437,10 +436,6 @@ class MuMap:
     def _check_domain(self, x):
         if np.any(np.asarray(x) < self.profile.x_lo) or np.any(np.asarray(x) > self.profile.x_hi):
             raise DomainError(f"x outside profile domain [{self.profile.x_lo}, {self.profile.x_hi}]")
-
-    def mu(self, x: float) -> float:
-        """Evaluate mu at a single point."""
-        return float(self.mu_array(float(x)))
 
     def mu_array(self, xs) -> NDArray:
         """Evaluate mu on an array of points (a 0-d array for a scalar)."""

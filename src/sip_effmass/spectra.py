@@ -135,6 +135,7 @@ def pt_reduced_spectrum(
     partial-sum engine only on that slice.
     """
     family = canonical_family(family)
+    _check_n_max(n_max)
     energies = []
     for n in range(n_max + 1):
         sgn = -1.0 if n % 2 else 1.0

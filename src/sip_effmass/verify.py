@@ -34,7 +34,6 @@ __all__ = [
     "GridSpec",
     "GridEigenResult",
     "discretize",
-    "discretize_model",
     "lowest_eigenvalues",
     "rayleigh_quotient",
     "compare",
@@ -133,10 +132,6 @@ def discretize(
     return diag, off
 
 
-def discretize_model(model: FamilyModel, grid: GridSpec) -> tuple[NDArray, NDArray]:
-    return discretize(model.profile, model.potential_V1, grid)
-
-
 def _tridiag_matvec(diag: NDArray, off: NDArray, v: NDArray) -> NDArray:
     """H v for the symmetric tridiagonal H = (diag, off)."""
     hv = diag * v
@@ -203,18 +198,15 @@ def rayleigh_quotient(diag: NDArray, off: NDArray, v: NDArray) -> float:
 
 
 def _eigensolve_with_refinement(
-    profile: MassProfile,
-    potential: Callable[[NDArray], NDArray],
-    grid: GridSpec,
-    k: int,
-    tol: float,
+    model: FamilyModel, grid: GridSpec, k: int, tol: float
 ) -> GridEigenResult:
-    """Solve on the grid and Richardson-check the k eigenvalues at half resolution."""
+    """Solve V1 of the model on the grid and Richardson-check the k
+    eigenvalues at half resolution."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be finite and positive, got {tol!r}")
-    diag, off = discretize(profile, potential, grid)
+    diag, off = discretize(model.profile, model.potential_V1, grid)
     fine = lowest_eigenvalues(diag, off, k, grid=grid)
-    _, _, coarse = _lowest_k(*discretize(profile, potential, grid.halved()), k)
+    _, _, coarse = _lowest_k(*discretize(model.profile, model.potential_V1, grid.halved()), k)
     # 2nd-order stencil: error(h) ~ (error(2h) - error(h)) / 3
     err_est = float(np.max(np.abs(fine.eigenvalues - coarse)) / 3.0)
     scale = max(1.0, float(np.max(np.abs(fine.eigenvalues))))
@@ -253,9 +245,7 @@ def compare(
     _check_level_count(n_levels)
     algebraic = spectrum_sum(model, n_levels).energies
     k = n_levels + 1
-    result = _eigensolve_with_refinement(
-        model.profile, model.potential_V1, grid, k, tol
-    )
+    result = _eigensolve_with_refinement(model, grid, k, tol)
     return _report(result, algebraic, tol, scale_hint=None)
 
 
@@ -315,15 +305,14 @@ def morse_reduced_compare(
     identical because the formula is invariant under
     (sigma0, a) -> (-sigma0, -a).
     """
+    _check_level_count(n_levels)
     table: SpectrumTable = morse_reduced_spectrum(a, sigma0, n_levels)
     model = FamilyModel.morse_reduced(
         a=a, lambda0=lambda0, sigma0=-sigma0, profile=profile, mumap=mumap
     )
     n_bound = sum(table.flags["bound"])
-    k = min(max(n_bound, 1), MAX_LEVELS)
-    result = _eigensolve_with_refinement(
-        profile, model.potential_V1, grid, k, tol
-    )
+    k = max(n_bound, 1)  # at most n_levels + 1 <= MAX_LEVELS
+    result = _eigensolve_with_refinement(model, grid, k, tol)
     algebraic = [e for (n, e) in table.levels[:k]]
     report = _report(result, algebraic, tol, scale_hint=1.0)
     report["bound_flags"] = table.flags["bound"][:k]

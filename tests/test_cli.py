@@ -364,6 +364,8 @@ MALFORMED = {
     "m0_inf": ("spectrum", ["--m0=inf"], None),
     "alpha_inf": ("spectrum", ["--profile", "asinh_mu", "--alpha=inf"], None),
     "beta_inf": ("spectrum", ["--profile", "exp_mass", "--beta=inf"], None),
+    "family_tag_and_name": (
+        "spectrum", [], {"family": {"tag": "ho", "name": "morse", "a": 1.0, "lambda0": 1.0}}),
 }
 
 

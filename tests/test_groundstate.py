@@ -179,6 +179,8 @@ OFF_SLICE_DRAWS = {
     # and C = 0 with B != 0 (phi = -(1 + tanh(mu/2))/2 stays negative)
     "morse_b_rho": ("morse", (-1.0, 1.0, 0.0), (1.0, -2.5, -2.0), (0.02, 3.5), 2),
     "pt_hyp_c0_rho": ("pt_hyp", (1.0, 1.0, 0.0), (-3.0, 0.0, 1.0), (-4.0, 12.0), 2),
+    # tanh(mu) rounds to 1 at every point, so phi sits on a root of P there
+    "pt_hyp_saturated": ("pt_hyp", (1.0, 0.0, -1.0), (-2.0, 0.0, 1.0), (25.0, 45.0), 1),
 }
 
 # a smooth inline table spanning mu in about (-20, 50) around x_ref = 0

@@ -219,6 +219,11 @@ def test_pt_reduced_matches_sum_on_its_slice(a, lam, rho, n, hyp):
     assert rel_close(reduced, spectrum_sum(m, n).energies, 1e-10)
 
 
+def test_pt_reduced_spectrum_rejects_a_negative_level_count():
+    with pytest.raises(ConfigError, match="n_max must be in"):
+        pt_reduced_spectrum("pt_trig", 1.0, 2.0, 0.0, -3)
+
+
 def test_ho_even_step_remainders_repeat():
     """R depends on rho through an alternating pair: R_{k+2} = R_k."""
     m = model("ho", FamilyCoeffs(a=1.5), ParamTriple(0.7, 0.3, 0.4))

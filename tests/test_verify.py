@@ -18,7 +18,6 @@ from sip_effmass import (
     ParamTriple,
     compare,
     discretize,
-    discretize_model,
     lowest_eigenvalues,
     morse_reduced_compare,
     psi0_generic,
@@ -169,7 +168,7 @@ def test_residuals_on_every_profile(name):
     model = FamilyModel.morse_reduced(
         a=-1.0, lambda0=1.0, sigma0=-2.5, profile=profile, mumap=mumap
     )
-    res = lowest_eigenvalues(*discretize_model(model, grid), 3, grid=grid)
+    res = lowest_eigenvalues(*discretize(model.profile, model.potential_V1, grid), 3, grid=grid)
     assert np.all(res.residuals <= 1e-8), res.residuals
     assert np.max(np.abs(res.gaps - [0.0, 4.0, 6.0])) < 5e-3
 
@@ -223,7 +222,7 @@ def test_rayleigh_quotient_of_zero_mode():
     )
     grid = GridSpec(-15.0, 5.0, 4001)
     table = psi0_generic(model, grid.interior())
-    diag, off = discretize_model(model, grid)
+    diag, off = discretize(model.profile, model.potential_V1, grid)
     rq = rayleigh_quotient(diag, off, table.psi)
     assert abs(rq) < 5e-4
 
@@ -283,6 +282,8 @@ def test_compare_caps_its_level_count():
     grid = GridSpec(-8.0, 8.0, 2001)
     with pytest.raises(ConfigError, match=f"must be <= {MAX_LEVELS - 1}, got 20"):
         compare(model, grid, 20)
+    with pytest.raises(ConfigError, match=f"must be <= {MAX_LEVELS - 1}, got 20"):
+        morse_reduced_compare(-0.2, 3.0, PROFILE, MUMAP, grid, 20)
     report = compare(model, grid, MAX_LEVELS - 1)
     assert len(report["algebraic_levels"]) == len(report["gaps"]) == len(report["flags"])
 
@@ -321,7 +322,7 @@ def test_shift_branch_levels_match_eigensolver(profile_name):
         branch="shift",
     )
     grid = GridSpec(-15.0, 5.0, 2001)
-    diag, off = discretize_model(model, grid)
+    diag, off = discretize(model.profile, model.potential_V1, grid)
     gaps = lowest_eigenvalues(diag, off, 3, grid=grid).gaps
     levels = spectrum_sum(model, 2).energies
     assert levels == pytest.approx([0.0, 6.0, 10.0], abs=1e-12)
