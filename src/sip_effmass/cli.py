@@ -1,8 +1,8 @@
 """Command-line front end: configuration, batch execution, serialization.
 
-Subcommands: spectrum, potential, groundstate, verify, shapecheck,
-sweep.  Outputs are deterministic (fixed float formatting at 17
-significant digits): identical configs produce byte-identical files.
+Commands: spectrum, potential, groundstate, verify, shapecheck, sweep.
+Outputs are deterministic (fixed float formatting at 17 significant
+digits): identical configs produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 
@@ -389,37 +389,36 @@ def run_sweep(cfg: RunConfig, out_dir: Path):
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON config file; flags override its fields")
-    # values stay strings here: load_config types them with the table
-    for flag, key, _, helptext in _KEYS:
-        if flag:
-            sub.add_argument(flag, dest=key, metavar=key.rpartition(".")[2].upper(), help=helptext)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line exits 2, like any bad input
+        raise ConfigError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sip-effmass",
         description="Shape-invariant potentials for position-dependent effective mass",
+        epilog="""commands:
+  spectrum     algebraic levels: partial sums vs closed forms
+  potential    sample mu, W, V1, V2 and the effective pair on a grid
+  groundstate  generic zero mode with pointwise annihilation residual
+  verify       finite-difference eigensolve vs algebraic levels
+  shapecheck   partner-potential residual against the remainder
+  sweep        run a cartesian parameter sweep""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("spectrum", "algebraic levels: partial sums vs closed forms"),
-        ("potential", "sample mu, W, V1, V2 and the effective pair on a grid"),
-        ("groundstate", "generic zero mode with pointwise annihilation residual"),
-        ("verify", "finite-difference eigensolve vs algebraic levels"),
-        ("shapecheck", "partner-potential residual against the remainder"),
-        ("sweep", "run a cartesian parameter sweep"),
-    ):
-        sub = subs.add_parser(name, help=helptext)
-        _add_common(sub)
+    parser.add_argument("command", choices=(*_RUNNERS, "sweep"), help="what to run (see below)")
+    parser.add_argument("--config", help="JSON config file; flags override its fields")
+    # values stay strings here: load_config types them with the table
+    for flag, key, _, helptext in _KEYS:
+        if flag:
+            parser.add_argument(flag, dest=key, metavar=key.rpartition(".")[2].upper(), help=helptext)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = load_config(args)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -458,6 +458,35 @@ def test_help_lists_every_flag(capsys, command):
     assert set(FLAGS) <= set(words)
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]], ids=["bare", "command"])
+def test_help_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for summary in ("spectrum algebraic levels", "potential sample mu", "groundstate generic zero",
+                    "verify finite-difference", "shapecheck partner-potential", "sweep run a"):
+        assert summary in help_text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--bogus", "1"], ["nosuch"], [], ["spectrum", "--n"]],
+    ids=["unknown_flag", "unknown_command", "no_command", "flag_without_value"],
+)
+def test_malformed_command_line_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error_type"] == "ConfigError"  # one JSON record
+
+
+def test_flags_may_come_before_the_command(tmp_path):
+    assert main(["spectrum", *HO_ARGS, "--out", str(tmp_path / "after")]) == 0
+    assert main([*HO_ARGS, "--out", str(tmp_path / "before"), "spectrum"]) == 0
+    assert read(tmp_path / "before" / "spectrum.csv") == read(tmp_path / "after" / "spectrum.csv")
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     # refinement guard: a coarse grid cannot reach tol = 1e-9
     args = [
@@ -515,6 +544,19 @@ def test_stderr_is_one_json_document(tmp_path):
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["error_type"] == "NumericalError"
+
+
+def test_console_entry_reports_a_bad_flag_as_one_json_record():
+    # the [project.scripts] entry point runs sys.exit(main())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sip_effmass.cli", "spectrum", "--bogus", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error_type"] == "ConfigError"
 
 
 def test_coulomb_spectrum_row0_prints_zero(tmp_path):
